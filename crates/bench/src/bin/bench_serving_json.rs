@@ -47,8 +47,7 @@ fn rss_of(pid: u32) -> Option<u64> {
     Some(line.split_whitespace().nth(1)?.parse::<u64>().ok()? * 1024)
 }
 
-/// The mostly-idle scaling soak: a daemon on the event-loop backend in
-/// its own subprocess (the fd rlimit is per process, so splitting the
+/// The mostly-idle scaling soak: a daemon in its own subprocess (the fd rlimit is per process, so splitting the
 /// 2 × 10k socket endpoints across two processes is what lets a 10k run
 /// fit), 10k connections opened and held idle, and the same small active
 /// workload driven with and without the idle crowd. Records how many
@@ -69,15 +68,7 @@ fn run_soak(idle_target: usize, active_requests: usize) -> Option<SoakResult> {
         return None;
     }
     let mut child = std::process::Command::new(&nomloc)
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--socket-backend",
-            "event-loop",
-            "--workers",
-            "2",
-        ])
+        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "2"])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .ok()?;
@@ -147,39 +138,29 @@ fn run_soak(idle_target: usize, active_requests: usize) -> Option<SoakResult> {
     })
 }
 
-/// Sharded vs single-queue dispatch cost at one venue count (see
-/// [`run_dispatch`]).
+/// Dispatch-plane cost at one venue count (see [`run_dispatch`]).
 struct DispatchScale {
     live_venues: usize,
     connections: usize,
     requests: usize,
-    queue_shards: usize,
-    sharded_ns_per_request: f64,
-    single_ns_per_request: f64,
-    improvement_pct: f64,
-    sharded_closed_rps: f64,
-    single_closed_rps: f64,
-    sharded_worst_worker_p99_ns: f64,
-    single_worst_worker_p99_ns: f64,
+    queue_shards: u64,
+    ns_per_request: f64,
+    closed_rps: f64,
+    worst_worker_p99_ns: f64,
     queue_steals: u64,
     enqueue_contention: u64,
-    sharded_depth_peak: u64,
-    single_depth_peak: u64,
+    depth_peak: u64,
 }
 
-/// Prices the admission plane itself: the sharded venue-affine queues
-/// against the retained single-queue oracle (`queue_shards: 1`), per
-/// venue count, both daemons live simultaneously and driven in
-/// *alternating* min-of-rounds passes like [`run_venue_scales`].
+/// Prices the admission/dispatch plane itself, per venue count, in
+/// min-of-rounds passes like [`run_venue_scales`].
 ///
 /// Two traffic shapes per scale:
 ///
 /// - **Pipelined** (8 connections, every request in flight at once): the
-///   queue runs deep, which is exactly where the single queue's
-///   head-venue coalescing scan goes quadratic — each same-venue pop
-///   rescans the whole mixed backlog — while the sharded plane pops an
-///   already-homogeneous venue FIFO in O(batch). This is the headline
-///   `ns_per_request` comparison and the regression-gated number.
+///   plane runs deep and batchers pop already-homogeneous venue FIFOs.
+///   This is the headline `ns_per_request` and the regression-gated
+///   number.
 /// - **Closed-loop** (8 synchronous workers via
 ///   `LoadgenConfig::concurrency`): aggregate RPS plus the worst
 ///   per-worker p99, the fairness-sensitive view where one stalled
@@ -188,8 +169,8 @@ struct DispatchScale {
 /// Requests are the soak's empty-burst cheapest-possible shape so
 /// dispatch cost dominates solve cost, and `queue_capacity` is raised so
 /// the pipelined flood is admitted in full (an `Overloaded` reply would
-/// make the two sides answer different work). Both daemons must answer
-/// every request and keep every micro-batch venue-homogeneous.
+/// skip the work being priced). The daemon must answer every request and
+/// keep every micro-batch venue-homogeneous.
 fn run_dispatch(counts: &[usize], requests_per_pass: usize) -> Vec<DispatchScale> {
     let venue = Venue::lab();
     let ap = venue.static_deployment()[0];
@@ -205,29 +186,20 @@ fn run_dispatch(counts: &[usize], requests_per_pass: usize) -> Vec<DispatchScale
     counts
         .iter()
         .map(|&live| {
-            let spawn_side = |queue_shards: usize| {
-                let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
-                let config = nomloc_net::DaemonConfig {
-                    max_wait: std::time::Duration::ZERO,
-                    queue_capacity: requests_per_pass.max(1024) * 2,
-                    queue_shards,
-                    batchers: 2,
-                    max_batch: 64,
-                    ..nomloc_net::DaemonConfig::default()
-                };
-                let handle = nomloc_net::spawn(server, config, "127.0.0.1:0")
-                    .expect("spawn dispatch-bench daemon");
-                for id in 1..live as u64 {
-                    nomloc_net::admin::onboard(
-                        handle.local_addr(),
-                        &WireVenue::from_venue(id, &venue),
-                    )
-                    .expect("onboard dispatch-bench venue");
-                }
-                handle
+            let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
+            let config = nomloc_net::DaemonConfig {
+                max_wait: std::time::Duration::ZERO,
+                queue_capacity: requests_per_pass.max(1024) * 2,
+                batchers: 2,
+                max_batch: 64,
+                ..nomloc_net::DaemonConfig::default()
             };
-            let sharded = spawn_side(nomloc_net::DaemonConfig::default().queue_shards);
-            let single = spawn_side(1);
+            let handle = nomloc_net::spawn(server, config, "127.0.0.1:0")
+                .expect("spawn dispatch-bench daemon");
+            for id in 1..live as u64 {
+                nomloc_net::admin::onboard(handle.local_addr(), &WireVenue::from_venue(id, &venue))
+                    .expect("onboard dispatch-bench venue");
+            }
             let venues: Vec<u64> = (0..live as u64).collect();
             let pipelined = nomloc_net::LoadgenConfig {
                 connections: 8,
@@ -244,68 +216,52 @@ fn run_dispatch(counts: &[usize], requests_per_pass: usize) -> Vec<DispatchScale
                 ..nomloc_net::LoadgenConfig::default()
             };
 
-            let mut best = [f64::INFINITY; 2]; // [sharded, single] pipelined ns/req
-            let mut best_rps = [0.0f64; 2];
-            let mut best_p99 = [f64::INFINITY; 2];
+            let mut best_ns = f64::INFINITY;
+            let mut best_rps = 0.0f64;
+            let mut best_p99 = f64::INFINITY;
             for _ in 0..5 {
-                for (i, handle) in [&sharded, &single].into_iter().enumerate() {
-                    let report = nomloc_net::loadgen::run(handle.local_addr(), &pipelined, &batch)
-                        .expect("pipelined dispatch pass");
-                    assert_eq!(
-                        report.ok_count(),
-                        batch.len(),
-                        "pipelined dispatch pass must answer every request"
-                    );
-                    best[i] = best[i].min(1.0e9 / report.throughput_rps());
-                    let report = nomloc_net::loadgen::run(handle.local_addr(), &closed, &batch)
-                        .expect("closed-loop dispatch pass");
-                    assert_eq!(
-                        report.ok_count(),
-                        batch.len(),
-                        "closed-loop dispatch pass must answer every request"
-                    );
-                    if report.throughput_rps() > best_rps[i] {
-                        best_rps[i] = report.throughput_rps();
-                        best_p99[i] = report
-                            .per_worker_quantile(0.99)
-                            .iter()
-                            .map(|d| d.as_nanos() as f64)
-                            .fold(0.0, f64::max);
-                    }
+                let report = nomloc_net::loadgen::run(handle.local_addr(), &pipelined, &batch)
+                    .expect("pipelined dispatch pass");
+                assert_eq!(
+                    report.ok_count(),
+                    batch.len(),
+                    "pipelined dispatch pass must answer every request"
+                );
+                best_ns = best_ns.min(1.0e9 / report.throughput_rps());
+                let report = nomloc_net::loadgen::run(handle.local_addr(), &closed, &batch)
+                    .expect("closed-loop dispatch pass");
+                assert_eq!(
+                    report.ok_count(),
+                    batch.len(),
+                    "closed-loop dispatch pass must answer every request"
+                );
+                if report.throughput_rps() > best_rps {
+                    best_rps = report.throughput_rps();
+                    best_p99 = report
+                        .per_worker_quantile(0.99)
+                        .iter()
+                        .map(|d| d.as_nanos() as f64)
+                        .fold(0.0, f64::max);
                 }
             }
 
-            let sharded_counters = sharded.stats_snapshot().counters;
-            let single_counters = single.stats_snapshot().counters;
-            for (side, c) in [("sharded", &sharded_counters), ("single", &single_counters)] {
-                assert_eq!(
-                    c.batches_mixed, 0,
-                    "{side} dispatch bench formed a mixed batch"
-                );
-            }
+            let counters = handle.stats_snapshot().counters;
             assert_eq!(
-                single_counters.queue_steals, 0,
-                "the single-queue oracle has nothing to steal from"
+                counters.batches_mixed, 0,
+                "dispatch bench formed a mixed batch"
             );
-            let queue_shards = nomloc_net::DaemonConfig::default().queue_shards;
-            let sharded_depth_peak = sharded.shutdown().queue_depth_peak;
-            let single_depth_peak = single.shutdown().queue_depth_peak;
+            let health = handle.shutdown();
             DispatchScale {
                 live_venues: live,
                 connections: 8,
                 requests: batch.len(),
-                queue_shards,
-                sharded_ns_per_request: best[0],
-                single_ns_per_request: best[1],
-                improvement_pct: (best[1] / best[0] - 1.0) * 100.0,
-                sharded_closed_rps: best_rps[0],
-                single_closed_rps: best_rps[1],
-                sharded_worst_worker_p99_ns: best_p99[0],
-                single_worst_worker_p99_ns: best_p99[1],
-                queue_steals: sharded_counters.queue_steals,
-                enqueue_contention: sharded_counters.enqueue_contention,
-                sharded_depth_peak,
-                single_depth_peak,
+                queue_shards: health.queue_shards,
+                ns_per_request: best_ns,
+                closed_rps: best_rps,
+                worst_worker_p99_ns: best_p99,
+                queue_steals: counters.queue_steals,
+                enqueue_contention: counters.enqueue_contention,
+                depth_peak: health.queue_depth_peak,
             }
         })
         .collect()
@@ -775,7 +731,7 @@ fn main() {
     let encode_speedup = encode_fresh_ns / encode_pooled_ns;
     let e2e_speedup = e2e_naive_ns / e2e_optimized_ns;
 
-    // --- Mostly-idle connection scaling on the event-loop backend.
+    // --- Mostly-idle connection scaling.
     let (idle_target, soak_requests) = if quick_mode() {
         (2_000, 200)
     } else {
@@ -793,8 +749,7 @@ fn main() {
     let venue_batch = workload(if quick_mode() { 240 } else { 480 }, 2);
     let venue_scales = run_venue_scales(venue_counts, &venue_batch);
 
-    // --- Dispatch plane: sharded venue-affine queues vs the single-queue
-    // oracle, at 1 and 100 live venues.
+    // --- Dispatch plane at 1 and 100 live venues.
     let dispatch_requests = if quick_mode() { 12_000 } else { 16_000 };
     let dispatch_scales = run_dispatch(&[1, 100], dispatch_requests);
 
@@ -827,29 +782,24 @@ fn main() {
         .iter()
         .map(|d| {
             format!(
-                "{{\"live_venues\": {}, \"connections\": {}, \"requests\": {}, \"queue_shards\": {}, \"sharded_ns_per_request\": {:.1}, \"single_ns_per_request\": {:.1}, \"improvement_pct\": {:.2}, \"sharded_closed_rps\": {:.0}, \"single_closed_rps\": {:.0}, \"sharded_worst_worker_p99_ns\": {:.0}, \"single_worst_worker_p99_ns\": {:.0}, \"queue_steals\": {}, \"enqueue_contention\": {}, \"sharded_depth_peak\": {}, \"single_depth_peak\": {}}}",
+                "{{\"live_venues\": {}, \"connections\": {}, \"requests\": {}, \"queue_shards\": {}, \"ns_per_request\": {:.1}, \"closed_rps\": {:.0}, \"worst_worker_p99_ns\": {:.0}, \"queue_steals\": {}, \"enqueue_contention\": {}, \"depth_peak\": {}}}",
                 d.live_venues,
                 d.connections,
                 d.requests,
                 d.queue_shards,
-                d.sharded_ns_per_request,
-                d.single_ns_per_request,
-                d.improvement_pct,
-                d.sharded_closed_rps,
-                d.single_closed_rps,
-                d.sharded_worst_worker_p99_ns,
-                d.single_worst_worker_p99_ns,
+                d.ns_per_request,
+                d.closed_rps,
+                d.worst_worker_p99_ns,
                 d.queue_steals,
                 d.enqueue_contention,
-                d.sharded_depth_peak,
-                d.single_depth_peak,
+                d.depth_peak,
             )
         })
         .collect();
     let dispatch_json = format!("[{}]", dispatch_json.join(", "));
     let soak_json = match &soak {
         Some(s) => format!(
-            "{{\"backend\": \"event-loop\", \"idle_target\": {}, \"connections_held\": {}, \"active_requests\": {}, \"active_ns_per_request\": {:.1}, \"active_p99_ns_base\": {:.0}, \"active_p99_ns_idle\": {:.0}, \"idle_p99_ratio\": {:.3}, \"daemon_rss_delta_bytes\": {}, \"rss_bytes_per_connection\": {:.1}}}",
+            "{{\"idle_target\": {}, \"connections_held\": {}, \"active_requests\": {}, \"active_ns_per_request\": {:.1}, \"active_p99_ns_base\": {:.0}, \"active_p99_ns_idle\": {:.0}, \"idle_p99_ratio\": {:.3}, \"daemon_rss_delta_bytes\": {}, \"rss_bytes_per_connection\": {:.1}}}",
             s.idle_target,
             s.connections_held,
             s.active_requests,
@@ -893,7 +843,7 @@ fn main() {
     );
     if let Some(s) = &soak {
         println!(
-            "soak: {} idle connections held on the event-loop backend — active {:.0} ns/req, \
+            "soak: {} idle connections held — active {:.0} ns/req, \
              p99 {:.2} ms idle vs {:.2} ms base ({:.2}x), daemon RSS {:+} KiB ({:.0} B/conn)",
             s.connections_held,
             s.active_ns_per_request,
@@ -907,22 +857,16 @@ fn main() {
 
     for d in &dispatch_scales {
         println!(
-            "dispatch: {} venues, {} conns — sharded {:.0} ns/req vs single-queue {:.0} ns/req \
-             ({:+.1}%), closed-loop {:.0} vs {:.0} rps, worst worker p99 {:.2} vs {:.2} ms, \
-             {} steals, {} contended enqueues, depth peak {} vs {}",
+            "dispatch: {} venues, {} conns — {:.0} ns/req, closed-loop {:.0} rps, worst worker \
+             p99 {:.2} ms, {} steals, {} contended enqueues, depth peak {}",
             d.live_venues,
             d.connections,
-            d.sharded_ns_per_request,
-            d.single_ns_per_request,
-            d.improvement_pct,
-            d.sharded_closed_rps,
-            d.single_closed_rps,
-            d.sharded_worst_worker_p99_ns / 1e6,
-            d.single_worst_worker_p99_ns / 1e6,
+            d.ns_per_request,
+            d.closed_rps,
+            d.worst_worker_p99_ns / 1e6,
             d.queue_steals,
             d.enqueue_contention,
-            d.sharded_depth_peak,
-            d.single_depth_peak,
+            d.depth_peak,
         );
     }
 

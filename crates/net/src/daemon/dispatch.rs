@@ -1,14 +1,8 @@
 //! The admission/dispatch plane between the socket layer and the
-//! batcher pool: either the legacy single global queue (the correctness
-//! oracle, `queue_shards <= 1`) or the venue-affine sharded batching
-//! plane (`queue_shards > 1`).
+//! batcher pool: venue-affine shard queues with owner batchers, work
+//! stealing and targeted wakeups.
 //!
-//! **Single queue** (legacy layout, retained behind the flag): one
-//! `Mutex<VecDeque>` + `Condvar`. Every enqueue and every batch pop
-//! contends on the same lock, batch formation scans the whole queue for
-//! same-venue requests, and wakeups are condvar broadcasts.
-//!
-//! **Sharded plane**: `queue_shards` bounded shard queues, venue→shard
+//! `QUEUE_SHARDS` bounded shard queues, venue→shard
 //! by fibonacci hash, so a socket thread enqueues with exactly one
 //! shard-local lock (contention is counted, never spun on) and batchers
 //! pop *already venue-homogeneous* batches with no scan at all — each
@@ -24,20 +18,20 @@
 //! the same [`POLL_INTERVAL`] backstop every blocking wait in the
 //! daemon uses.
 //!
-//! **Shared contract, both layouts**: admission control is a *global*
-//! capacity (an atomic depth gauge on the sharded plane), so
-//! `queue_depth_peak <= queue_capacity` and `Overloaded` accounting are
-//! layout-invariant; queued-deadline expiry stays per-request at solve
-//! time; a dying batcher requeues its (venue-homogeneous) batch at the
-//! front of that venue's FIFO in its own shard; and drain-on-shutdown
-//! empties every shard before `next_batch` reports dry — every admitted
-//! request is answered.
+//! **Contract**: admission control is a *global* capacity (one atomic
+//! depth gauge across all shards), so `queue_depth_peak <=
+//! queue_capacity` holds and `Overloaded` is decided in one place;
+//! queued-deadline expiry stays per-request at solve time; a dying
+//! batcher requeues its (venue-homogeneous) batch at the front of that
+//! venue's FIFO in its own shard; and drain-on-shutdown empties every
+//! shard before `next_batch` reports dry — every admitted request is
+//! answered.
 
 use super::{Pending, POLL_INTERVAL};
 use nomloc_core::stats::PipelineStats;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -76,7 +70,7 @@ struct ShardState {
     order: VecDeque<u64>,
     venues: HashMap<u64, VenueQueue>,
     /// Requests queued in this shard (the global gauge lives in
-    /// [`Sharded::depth`]).
+    /// [`Dispatch::depth`]).
     len: usize,
 }
 
@@ -101,18 +95,33 @@ struct BatcherSlot {
     steal_cursor: AtomicUsize,
 }
 
-/// The sharded half of the plane (fields private to this module; the
-/// daemon drives it through [`Dispatch`]'s methods).
-pub(super) struct Sharded {
+/// The dispatch plane (fields private to this module; the daemon drives
+/// it through the methods).
+pub(super) struct Dispatch {
     shards: Vec<Mutex<ShardState>>,
     /// Global queued-request gauge: admission CAS-reserves a slot here
-    /// *before* touching any shard, so the `queue_capacity` bound and
-    /// `queue_depth_peak` keep the exact single-queue semantics.
+    /// *before* touching any shard, so two shards can never jointly
+    /// overshoot `queue_capacity` and `queue_depth_peak` is exact.
     depth: AtomicUsize,
     batchers: Vec<BatcherSlot>,
 }
 
-impl Sharded {
+impl Dispatch {
+    pub(super) fn new(queue_shards: usize, batchers: usize) -> Self {
+        Dispatch {
+            shards: (0..queue_shards.max(1)).map(|_| Mutex::default()).collect(),
+            depth: AtomicUsize::new(0),
+            batchers: (0..batchers.max(1))
+                .map(|_| BatcherSlot {
+                    parked: AtomicBool::new(false),
+                    thread: Mutex::new(None),
+                    own_cursor: AtomicUsize::new(0),
+                    steal_cursor: AtomicUsize::new(0),
+                })
+                .collect(),
+        }
+    }
+
     fn try_unpark(&self, idx: usize) -> bool {
         if self.batchers[idx].parked.swap(false, Ordering::AcqRel) {
             if let Some(t) = &*self.batchers[idx].thread.lock().unwrap() {
@@ -205,57 +214,20 @@ impl Sharded {
         self.depth.fetch_sub(take, Ordering::AcqRel);
         take
     }
-}
-
-/// The dispatch plane, selected by `DaemonConfig::queue_shards`.
-pub(super) enum Dispatch {
-    /// The legacy single global queue — the A/B correctness oracle.
-    Single {
-        queue: Mutex<VecDeque<Pending>>,
-        cv: Condvar,
-    },
-    /// The venue-affine sharded batching plane.
-    Sharded(Sharded),
-}
-
-impl Dispatch {
-    pub(super) fn new(queue_shards: usize, batchers: usize) -> Self {
-        if queue_shards <= 1 {
-            Dispatch::Single {
-                queue: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            }
-        } else {
-            Dispatch::Sharded(Sharded {
-                shards: (0..queue_shards).map(|_| Mutex::default()).collect(),
-                depth: AtomicUsize::new(0),
-                batchers: (0..batchers.max(1))
-                    .map(|_| BatcherSlot {
-                        parked: AtomicBool::new(false),
-                        thread: Mutex::new(None),
-                        own_cursor: AtomicUsize::new(0),
-                        steal_cursor: AtomicUsize::new(0),
-                    })
-                    .collect(),
-            })
-        }
-    }
 
     /// Registers the calling thread as batcher `idx` for targeted
     /// unparks. Called on batcher entry; a watchdog respawn re-registers
     /// the slot with the replacement thread.
     pub(super) fn register_batcher(&self, idx: usize) {
-        if let Dispatch::Sharded(s) = self {
-            if let Some(slot) = s.batchers.get(idx) {
-                *slot.thread.lock().unwrap() = Some(std::thread::current());
-            }
+        if let Some(slot) = self.batchers.get(idx) {
+            *slot.thread.lock().unwrap() = Some(std::thread::current());
         }
     }
 
     /// Admits `p` under the global capacity bound, or hands it back (the
     /// `Err`) for an `Overloaded` reply. `shutting_down` closes admission
-    /// entirely. Updates the depth high-water mark (and the per-shard one
-    /// on the sharded plane), then wakes exactly one batcher.
+    /// entirely. Updates the global and per-shard depth high-water marks,
+    /// then wakes exactly one batcher.
     pub(super) fn admit(
         &self,
         p: Pending,
@@ -263,130 +235,97 @@ impl Dispatch {
         config: &DispatchConfig,
         stats: &PipelineStats,
     ) -> Result<(), Pending> {
-        match self {
-            Dispatch::Single { queue, cv } => {
-                let mut q = queue.lock().unwrap();
-                if shutting_down || q.len() >= config.queue_capacity {
-                    return Err(p);
-                }
-                q.push_back(p);
-                stats.note_queue_depth(q.len() as u64);
-                drop(q);
-                cv.notify_one();
-                Ok(())
+        if shutting_down {
+            return Err(p);
+        }
+        // Reserve a global slot first (CAS, so two shards can never
+        // jointly overshoot the capacity), then take the one shard-local
+        // lock.
+        let mut depth = self.depth.load(Ordering::Acquire);
+        loop {
+            if depth >= config.queue_capacity {
+                return Err(p);
             }
-            Dispatch::Sharded(s) => {
-                if shutting_down {
-                    return Err(p);
-                }
-                // Reserve a global slot first (CAS, so two shards can
-                // never jointly overshoot the capacity), then take the
-                // one shard-local lock.
-                let mut depth = s.depth.load(Ordering::Acquire);
-                loop {
-                    if depth >= config.queue_capacity {
-                        return Err(p);
-                    }
-                    match s.depth.compare_exchange_weak(
-                        depth,
-                        depth + 1,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break,
-                        Err(now) => depth = now,
-                    }
-                }
-                stats.note_queue_depth(depth as u64 + 1);
-                let shard = shard_of(p.venue, s.shards.len());
-                let venue = p.venue;
-                let mut state = match s.shards[shard].try_lock() {
-                    Ok(g) => g,
-                    Err(std::sync::TryLockError::WouldBlock) => {
-                        stats.record_enqueue_contention();
-                        s.shards[shard].lock().unwrap()
-                    }
-                    Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-                };
-                let vq = state.venues.entry(venue).or_default();
-                vq.q.push_back(p);
-                if !vq.listed {
-                    vq.listed = true;
-                    state.order.push_back(venue);
-                }
-                state.len += 1;
-                stats.note_shard_depth(state.len as u64);
-                drop(state);
-                s.wake_for_shard(shard);
-                Ok(())
+            match self.depth.compare_exchange_weak(
+                depth,
+                depth + 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break,
+                Err(now) => depth = now,
             }
         }
+        stats.note_queue_depth(depth as u64 + 1);
+        let shard = shard_of(p.venue, self.shards.len());
+        let venue = p.venue;
+        let mut state = match self.shards[shard].try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::WouldBlock) => {
+                stats.record_enqueue_contention();
+                self.shards[shard].lock().unwrap()
+            }
+            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        };
+        let vq = state.venues.entry(venue).or_default();
+        vq.q.push_back(p);
+        if !vq.listed {
+            vq.listed = true;
+            state.order.push_back(venue);
+        }
+        state.len += 1;
+        stats.note_shard_depth(state.len as u64);
+        drop(state);
+        self.wake_for_shard(shard);
+        Ok(())
     }
 
-    /// Requeues a dying batcher's batch at the *front* of its queue (its
-    /// own shard's venue FIFO on the sharded plane), preserving request
-    /// order, then wakes everyone so a sibling picks it up. The batch is
+    /// Requeues a dying batcher's batch at the *front* of its own
+    /// shard's venue FIFO, preserving request order, then wakes everyone so a sibling picks it up. The batch is
     /// venue-homogeneous by construction, so the whole thing goes back
     /// to one venue FIFO.
     pub(super) fn requeue_front(&self, batch: &mut Vec<Pending>) {
-        match self {
-            Dispatch::Single { queue, cv } => {
-                let mut q = queue.lock().unwrap();
-                for p in batch.drain(..).rev() {
-                    q.push_front(p);
-                }
-                drop(q);
-                cv.notify_all();
-            }
-            Dispatch::Sharded(s) => {
-                if batch.is_empty() {
-                    return;
-                }
-                let venue = batch[0].venue;
-                let shard = shard_of(venue, s.shards.len());
-                let n = batch.len();
-                // Re-reserve the depth *before* pushing content, keeping
-                // the invariant depth >= queued content (so depth == 0
-                // still implies an empty plane for drain checks).
-                s.depth.fetch_add(n, Ordering::AcqRel);
-                let mut state = s.shards[shard].lock().unwrap();
-                let vq = state.venues.entry(venue).or_default();
-                for p in batch.drain(..).rev() {
-                    vq.q.push_front(p);
-                }
-                if !vq.listed {
-                    vq.listed = true;
-                }
-                // The venue goes to the order *front*: the requeued batch
-                // is the oldest admitted work in this shard.
-                if let Some(pos) = state.order.iter().position(|&v| v == venue) {
-                    state.order.remove(pos);
-                }
-                state.order.push_front(venue);
-                state.len += n;
-                drop(state);
-                self.wake_all();
-            }
+        if batch.is_empty() {
+            return;
         }
+        let venue = batch[0].venue;
+        let shard = shard_of(venue, self.shards.len());
+        let n = batch.len();
+        // Re-reserve the depth *before* pushing content, keeping
+        // the invariant depth >= queued content (so depth == 0
+        // still implies an empty plane for drain checks).
+        self.depth.fetch_add(n, Ordering::AcqRel);
+        let mut state = self.shards[shard].lock().unwrap();
+        let vq = state.venues.entry(venue).or_default();
+        for p in batch.drain(..).rev() {
+            vq.q.push_front(p);
+        }
+        if !vq.listed {
+            vq.listed = true;
+        }
+        // The venue goes to the order *front*: the requeued batch
+        // is the oldest admitted work in this shard.
+        if let Some(pos) = state.order.iter().position(|&v| v == venue) {
+            state.order.remove(pos);
+        }
+        state.order.push_front(venue);
+        state.len += n;
+        drop(state);
+        self.wake_all();
     }
 
     /// Wakes every waiter (shutdown, or a requeue that any batcher may
     /// claim).
     pub(super) fn wake_all(&self) {
-        match self {
-            Dispatch::Single { cv, .. } => cv.notify_all(),
-            Dispatch::Sharded(s) => {
-                for i in 0..s.batchers.len() {
-                    s.try_unpark(i);
-                }
-            }
+        for i in 0..self.batchers.len() {
+            self.try_unpark(i);
         }
     }
 
     /// Blocks for the next venue-homogeneous micro-batch into `batch`
     /// (cleared first; capacity reused). `batcher` is the caller's slot
-    /// index — it selects the affined shard and the parking slot on the
-    /// sharded plane (the watchdog's final drain passes 0; it never
+    /// index — it selects the owned shards and the parking slot (the
+    /// watchdog's final drain passes 0; it never
     /// parks because a drained plane returns `false` immediately).
     /// Returns `false` once the plane is empty *and* shutting down.
     pub(super) fn next_batch(
@@ -398,169 +337,117 @@ impl Dispatch {
         stats: &PipelineStats,
     ) -> bool {
         batch.clear();
-        match self {
-            Dispatch::Single { queue, cv } => {
-                let mut q = queue.lock().unwrap();
-                let venue;
-                loop {
-                    if let Some(p) = q.pop_front() {
-                        venue = p.venue;
-                        batch.push(p);
-                        break;
+        let nshards = self.shards.len();
+        let nb = self.batchers.len();
+        let b = batcher % nb;
+        // This batcher owns shards `b, b+B, b+2B, …` — every
+        // shard has exactly one owner (for B <= N), so an active
+        // owner round-robinning its set bounds every shard's
+        // service interval even if no steal ever fires.
+        let owned = if b < nshards {
+            (nshards - b).div_ceil(nb)
+        } else {
+            0
+        };
+        let slot = self.batchers.get(batcher);
+        let venue = loop {
+            // Owned shards first, entered at the rotating cursor
+            // so a hot owned shard cannot shadow a cold one.
+            let mut got = None;
+            let oc = slot
+                .map(|sl| sl.own_cursor.load(Ordering::Relaxed))
+                .unwrap_or(0);
+            for k in 0..owned {
+                let idx = (oc + k) % owned;
+                let shard = b + idx * nb;
+                if let Some(v) = self.pop_batch_from(shard, batch, config.max_batch) {
+                    if let Some(sl) = slot {
+                        sl.own_cursor.store((idx + 1) % owned, Ordering::Relaxed);
                     }
-                    if shutting_down() {
-                        return false;
-                    }
-                    let (guard, _) = cv.wait_timeout(q, POLL_INTERVAL).unwrap();
-                    q = guard;
+                    got = Some(v);
+                    break;
                 }
-                // Pulls the first queued request for the head's venue, if
-                // any. Other venues' requests stay queued in arrival order
-                // for the next batcher.
-                let pop_same_venue = |q: &mut VecDeque<Pending>| {
-                    let pos = q.iter().position(|p| p.venue == venue)?;
-                    q.remove(pos)
-                };
-                let flush_by = Instant::now() + config.max_wait;
-                while batch.len() < config.max_batch {
-                    if let Some(p) = pop_same_venue(&mut q) {
-                        batch.push(p);
-                        continue;
-                    }
-                    if shutting_down() {
-                        break; // drain mode: flush immediately
-                    }
-                    let now = Instant::now();
-                    if now >= flush_by {
-                        break;
-                    }
-                    let (guard, timeout) = cv.wait_timeout(q, flush_by - now).unwrap();
-                    q = guard;
-                    if timeout.timed_out() {
-                        // Re-check the queue once more, then flush.
-                        if let Some(p) = pop_same_venue(&mut q) {
-                            batch.push(p);
-                        }
-                        break;
-                    }
-                }
-                true
             }
-            Dispatch::Sharded(s) => {
-                let nshards = s.shards.len();
-                let nb = s.batchers.len();
-                let b = batcher % nb;
-                // This batcher owns shards `b, b+B, b+2B, …` — every
-                // shard has exactly one owner (for B <= N), so an active
-                // owner round-robinning its set bounds every shard's
-                // service interval even if no steal ever fires.
-                let owned = if b < nshards {
-                    (nshards - b).div_ceil(nb)
-                } else {
-                    0
-                };
-                let slot = s.batchers.get(batcher);
-                let venue = loop {
-                    // Owned shards first, entered at the rotating cursor
-                    // so a hot owned shard cannot shadow a cold one.
-                    let mut got = None;
-                    let oc = slot
-                        .map(|sl| sl.own_cursor.load(Ordering::Relaxed))
-                        .unwrap_or(0);
-                    for k in 0..owned {
-                        let idx = (oc + k) % owned;
-                        let shard = b + idx * nb;
-                        if let Some(v) = s.pop_batch_from(shard, batch, config.max_batch) {
-                            if let Some(sl) = slot {
-                                sl.own_cursor.store((idx + 1) % owned, Ordering::Relaxed);
-                            }
-                            got = Some(v);
-                            break;
+            // Every owned shard is dry: steal from the rest,
+            // again from a rotating start, so dry batchers fan
+            // out over hot shards without re-draining the first
+            // one they find.
+            if got.is_none() {
+                let sc = slot
+                    .map(|sl| sl.steal_cursor.load(Ordering::Relaxed))
+                    .unwrap_or(0);
+                for k in 0..nshards {
+                    let shard = (sc + k) % nshards;
+                    if shard % nb == b {
+                        continue; // owned; just scanned above
+                    }
+                    if let Some(v) = self.pop_batch_from(shard, batch, config.max_batch) {
+                        stats.record_queue_steal();
+                        if let Some(sl) = slot {
+                            sl.steal_cursor
+                                .store((shard + 1) % nshards, Ordering::Relaxed);
                         }
-                    }
-                    // Every owned shard is dry: steal from the rest,
-                    // again from a rotating start, so dry batchers fan
-                    // out over hot shards without re-draining the first
-                    // one they find.
-                    if got.is_none() {
-                        let sc = slot
-                            .map(|sl| sl.steal_cursor.load(Ordering::Relaxed))
-                            .unwrap_or(0);
-                        for k in 0..nshards {
-                            let shard = (sc + k) % nshards;
-                            if shard % nb == b {
-                                continue; // owned; just scanned above
-                            }
-                            if let Some(v) = s.pop_batch_from(shard, batch, config.max_batch) {
-                                stats.record_queue_steal();
-                                if let Some(sl) = slot {
-                                    sl.steal_cursor
-                                        .store((shard + 1) % nshards, Ordering::Relaxed);
-                                }
-                                got = Some(v);
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(v) = got {
-                        break v;
-                    }
-                    if shutting_down() && s.depth.load(Ordering::Acquire) == 0 {
-                        return false;
-                    }
-                    // Park until an enqueue targets us (or the poll
-                    // backstop fires — same bound as every blocking wait
-                    // here). The parked flag is published before the
-                    // re-check, so an enqueue between our scan and the
-                    // park is guaranteed to either land in the re-check
-                    // or leave us an unpark token.
-                    if let Some(slot) = s.batchers.get(batcher) {
-                        slot.parked.store(true, Ordering::Release);
-                        if s.depth.load(Ordering::Acquire) > 0 || shutting_down() {
-                            slot.parked.store(false, Ordering::Release);
-                            continue;
-                        }
-                        std::thread::park_timeout(POLL_INTERVAL);
-                        slot.parked.store(false, Ordering::Release);
-                    } else {
-                        // Unregistered caller (the watchdog drain): the
-                        // plane still has depth, so spin-wait briefly for
-                        // the in-flight enqueue to land.
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                };
-                // Fill window: wait out max_wait for more same-venue
-                // arrivals, exactly like the single-queue layout — but
-                // the re-check is a front-pop on one venue FIFO, not a
-                // scan. The batch's venue lives in *its* shard even if
-                // this batcher stole it.
-                let home = shard_of(venue, nshards);
-                let flush_by = Instant::now() + config.max_wait;
-                while batch.len() < config.max_batch && !shutting_down() {
-                    let now = Instant::now();
-                    if now >= flush_by {
+                        got = Some(v);
                         break;
                     }
-                    if s.pop_same_venue(home, venue, batch, config.max_batch) > 0 {
-                        continue;
-                    }
-                    if let Some(slot) = s.batchers.get(batcher) {
-                        slot.parked.store(true, Ordering::Release);
-                        if s.pop_same_venue(home, venue, batch, config.max_batch) == 0 {
-                            std::thread::park_timeout((flush_by - now).min(POLL_INTERVAL));
-                        }
-                        slot.parked.store(false, Ordering::Release);
-                    } else {
-                        std::thread::sleep((flush_by - now).min(Duration::from_micros(50)));
-                    }
                 }
-                // One last sweep so a just-arrived straggler ships now
-                // instead of paying a whole extra batch.
-                if batch.len() < config.max_batch {
-                    s.pop_same_venue(home, venue, batch, config.max_batch);
+            }
+            if let Some(v) = got {
+                break v;
+            }
+            if shutting_down() && self.depth.load(Ordering::Acquire) == 0 {
+                return false;
+            }
+            // Park until an enqueue targets us (or the poll
+            // backstop fires — same bound as every blocking wait
+            // here). The parked flag is published before the
+            // re-check, so an enqueue between our scan and the
+            // park is guaranteed to either land in the re-check
+            // or leave us an unpark token.
+            if let Some(slot) = self.batchers.get(batcher) {
+                slot.parked.store(true, Ordering::Release);
+                if self.depth.load(Ordering::Acquire) > 0 || shutting_down() {
+                    slot.parked.store(false, Ordering::Release);
+                    continue;
                 }
-                true
+                std::thread::park_timeout(POLL_INTERVAL);
+                slot.parked.store(false, Ordering::Release);
+            } else {
+                // Unregistered caller (the watchdog drain): the
+                // plane still has depth, so spin-wait briefly for
+                // the in-flight enqueue to land.
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        };
+        // Fill window: wait out max_wait for more same-venue arrivals;
+        // each re-check is a front-pop on one venue FIFO, not a scan.
+        // The batch's venue lives in *its* shard even if this batcher
+        // stole it.
+        let home = shard_of(venue, nshards);
+        let flush_by = Instant::now() + config.max_wait;
+        while batch.len() < config.max_batch && !shutting_down() {
+            let now = Instant::now();
+            if now >= flush_by {
+                break;
+            }
+            if self.pop_same_venue(home, venue, batch, config.max_batch) > 0 {
+                continue;
+            }
+            if let Some(slot) = self.batchers.get(batcher) {
+                slot.parked.store(true, Ordering::Release);
+                if self.pop_same_venue(home, venue, batch, config.max_batch) == 0 {
+                    std::thread::park_timeout((flush_by - now).min(POLL_INTERVAL));
+                }
+                slot.parked.store(false, Ordering::Release);
+            } else {
+                std::thread::sleep((flush_by - now).min(Duration::from_micros(50)));
             }
         }
+        // One last sweep so a just-arrived straggler ships now
+        // instead of paying a whole extra batch.
+        if batch.len() < config.max_batch {
+            self.pop_same_venue(home, venue, batch, config.max_batch);
+        }
+        true
     }
 }

@@ -224,12 +224,14 @@ impl LoadgenReport {
             .count()
     }
 
-    /// Completed requests per second of wall-clock time.
+    /// Goodput: requests answered with an estimate, per second of
+    /// wall-clock time. Error replies (an `Overloaded` refusal above all)
+    /// are not completions and do not count.
     pub fn throughput_rps(&self) -> f64 {
         if self.elapsed.is_zero() {
             return 0.0;
         }
-        self.outcomes.len() as f64 / self.elapsed.as_secs_f64()
+        self.ok_count() as f64 / self.elapsed.as_secs_f64()
     }
 
     /// Exact latency quantile `q ∈ [0, 1]` over all responses.
@@ -314,7 +316,7 @@ impl LoadgenReport {
             String::new()
         };
         let mut out = format!(
-            "loadgen: {} requests in {:.1} ms — {:.0} req/s ({} reconnects){idle}\n\
+            "loadgen: {} requests in {:.1} ms — {:.0} ok req/s ({} reconnects){idle}\n\
              latency p50 {:.3} ms | p95 {:.3} ms | p99 {:.3} ms\n\
              ok {} | estimate-failed {} | malformed {} | overloaded {} | deadline {} | internal {}\n\
              quality full {} | region {} | centroid {} | predicted {}\n",
@@ -676,5 +678,53 @@ impl ResponseReader {
             }
             self.buf.extend_from_slice(&tmp[..n]);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outcome(reply: Result<WireEstimate, ErrorReply>) -> RequestOutcome {
+        RequestOutcome {
+            latency: Duration::from_millis(1),
+            reply,
+        }
+    }
+
+    #[test]
+    fn throughput_counts_ok_replies_only() {
+        let estimate = WireEstimate {
+            x: 1.0,
+            y: 2.0,
+            relaxation_cost: 0.0,
+            region_area: 0.0,
+            n_constraints: 0,
+            n_winning_pieces: 0,
+            lp_iterations: 0,
+            warm_start_hits: 0,
+            phase1_pivots_saved: 0,
+            quality: 0,
+            session: None,
+        };
+        let refusal = ErrorReply {
+            code: ErrorCode::Overloaded,
+            message: "admission queue full".into(),
+        };
+        let mut outcomes = vec![outcome(Ok(estimate)); 3];
+        outcomes.extend(vec![outcome(Err(refusal)); 7]);
+        let report = LoadgenReport {
+            outcomes,
+            elapsed: Duration::from_secs(2),
+            reconnects: 0,
+            idle_held: 0,
+            connections: 1,
+            sessions_enabled: false,
+            concurrency: 0,
+        };
+        assert_eq!(report.ok_count(), 3);
+        assert_eq!(report.error_count(ErrorCode::Overloaded), 7);
+        // 3 estimates over 2 s; the 7 refusals are not throughput.
+        assert_eq!(report.throughput_rps(), 1.5);
     }
 }

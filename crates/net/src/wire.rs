@@ -690,7 +690,7 @@ pub struct ServerHealth {
     /// display only; not serialized.
     pub pool_misses: u64,
     /// Connections evicted because their bounded outbound write buffer
-    /// overflowed (a slow reader on the event-loop socket backend).
+    /// overflowed (a slow reader).
     /// Daemon-local display only; not serialized.
     pub slow_readers_evicted: u64,
     /// Admissions that found their dispatch-shard lock held (sharded
@@ -704,8 +704,8 @@ pub struct ServerHealth {
     /// (sharded batching plane). Daemon-local display only; not
     /// serialized.
     pub shard_depth_peak: u64,
-    /// Dispatch shards the daemon was configured with (1 = the legacy
-    /// single-queue layout). Daemon-local display only; not serialized.
+    /// Dispatch shards of the daemon's plane. Daemon-local display only;
+    /// not serialized.
     pub queue_shards: u64,
     /// Per-venue serving counters, one record per onboarded venue
     /// (serialized after the scalar fields; new in v3).

@@ -6,12 +6,6 @@
 //! protocol over actual sockets. Overload/deadline tests use
 //! `DaemonConfig::batch_pause` as a deterministic throttle so they don't
 //! depend on machine speed.
-//!
-//! Every contract test is parameterized over **both socket backends**
-//! (`backend_tests!` expands each into a `threaded` and an `event_loop`
-//! case): the event-loop transplant must not change a single observable
-//! serving behavior. Backend-specific mechanics (slow-reader eviction,
-//! reader-thread reaping) get their own single-backend tests at the end.
 
 use nomloc_core::scenario::Venue;
 use nomloc_core::server::CsiReport;
@@ -19,56 +13,13 @@ use nomloc_core::{ApSite, LocalizationServer};
 use nomloc_net::wire::{
     decode_frame, frame_to_vec, LocateRequest, LocateResponse, WireReport, WireSnapshot,
 };
-use nomloc_net::{
-    admin, spawn, DaemonConfig, ErrorCode, Frame, LoadgenConfig, SocketBackend, WireVenue,
-};
+use nomloc_net::{admin, spawn, DaemonConfig, ErrorCode, Frame, LoadgenConfig, WireVenue};
 use nomloc_rfsim::{Environment, RadioConfig, SubcarrierGrid};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-/// Expands each listed test body `fn name(backend: SocketBackend)` into a
-/// module with a `#[test]` per backend, so one contract written once is
-/// pinned on both socket layers.
-macro_rules! backend_tests {
-    ($($name:ident),+ $(,)?) => {$(
-        mod $name {
-            use super::SocketBackend;
-
-            #[test]
-            fn threaded() {
-                super::$name(SocketBackend::Threaded);
-            }
-
-            #[test]
-            fn event_loop() {
-                super::$name(SocketBackend::EventLoop);
-            }
-        }
-    )+};
-}
-
-backend_tests!(
-    overload_answers_with_bounded_queue,
-    queued_deadline_expiry_is_reported,
-    malformed_request_does_not_poison_the_batch,
-    protocol_error_closes_only_that_connection,
-    stats_frame_reports_health,
-    shutdown_drains_admitted_requests,
-    cold_venue_is_answered_under_hot_flood,
-    single_queue_oracle_upholds_the_serving_contract,
-    closed_loop_loadgen_measures_contended_dispatch,
-);
-
-/// A default config pinned to one backend.
-fn config(backend: SocketBackend) -> DaemonConfig {
-    DaemonConfig {
-        socket_backend: backend,
-        ..DaemonConfig::default()
-    }
-}
 
 fn lab_server() -> LocalizationServer {
     LocalizationServer::new(Venue::lab().plan.boundary().clone()).with_workers(1)
@@ -143,17 +94,17 @@ fn read_responses(stream: &mut TcpStream, n: usize) -> Vec<LocateResponse> {
 /// Flooding a throttled daemon past its queue capacity yields explicit
 /// `Overloaded` replies — every request is answered, nothing buffers
 /// without bound, and the recorded queue depth respects the cap.
-fn overload_answers_with_bounded_queue(backend: SocketBackend) {
+#[test]
+fn overload_answers_with_bounded_queue() {
     let handle = spawn(
         lab_server(),
         DaemonConfig {
-            acceptors: 1,
             batchers: 1,
             max_batch: 1,
             max_wait: Duration::ZERO,
             queue_capacity: 4,
             batch_pause: Duration::from_millis(25),
-            ..config(backend)
+            ..DaemonConfig::default()
         },
         "127.0.0.1:0",
     )
@@ -192,11 +143,11 @@ fn overload_answers_with_bounded_queue(backend: SocketBackend) {
 
 /// A request whose deadline expires while it waits in the queue is
 /// answered `DeadlineExceeded` and never solved.
-fn queued_deadline_expiry_is_reported(backend: SocketBackend) {
+#[test]
+fn queued_deadline_expiry_is_reported() {
     let handle = spawn(
         lab_server(),
         DaemonConfig {
-            acceptors: 1,
             batchers: 1,
             max_batch: 1,
             max_wait: Duration::ZERO,
@@ -204,7 +155,7 @@ fn queued_deadline_expiry_is_reported(backend: SocketBackend) {
             // Every batch waits 30 ms before solving, so a 1 ms deadline
             // is always stale by solve time.
             batch_pause: Duration::from_millis(30),
-            ..config(backend)
+            ..DaemonConfig::default()
         },
         "127.0.0.1:0",
     )
@@ -226,16 +177,16 @@ fn queued_deadline_expiry_is_reported(backend: SocketBackend) {
 /// A semantically malformed request inside a pipelined burst errors only
 /// itself: its neighbors in the same micro-batch still get estimates, and
 /// the connection stays open.
-fn malformed_request_does_not_poison_the_batch(backend: SocketBackend) {
+#[test]
+fn malformed_request_does_not_poison_the_batch() {
     let venue = Venue::lab();
     let handle = spawn(
         lab_server(),
         DaemonConfig {
-            acceptors: 1,
             batchers: 1,
             max_batch: 16,
             max_wait: Duration::from_millis(20),
-            ..config(backend)
+            ..DaemonConfig::default()
         },
         "127.0.0.1:0",
     )
@@ -299,8 +250,9 @@ fn malformed_request_does_not_poison_the_batch(backend: SocketBackend) {
 /// A frame-level protocol violation (garbage on the socket) is answered
 /// with a `Malformed` reply for request id 0 and the connection closes;
 /// other connections are untouched.
-fn protocol_error_closes_only_that_connection(backend: SocketBackend) {
-    let handle = spawn(lab_server(), config(backend), "127.0.0.1:0").expect("spawn daemon");
+#[test]
+fn protocol_error_closes_only_that_connection() {
+    let handle = spawn(lab_server(), DaemonConfig::default(), "127.0.0.1:0").expect("spawn daemon");
 
     let mut bad = TcpStream::connect(handle.local_addr()).expect("connect");
     bad.write_all(b"this is not a NMLC frame at all............")
@@ -327,8 +279,9 @@ fn protocol_error_closes_only_that_connection(backend: SocketBackend) {
 }
 
 /// A `StatsRequest` frame answers with the daemon's health snapshot.
-fn stats_frame_reports_health(backend: SocketBackend) {
-    let handle = spawn(lab_server(), config(backend), "127.0.0.1:0").expect("spawn daemon");
+#[test]
+fn stats_frame_reports_health() {
+    let handle = spawn(lab_server(), DaemonConfig::default(), "127.0.0.1:0").expect("spawn daemon");
     let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
     stream.write_all(&cheap_request(1, 0)).unwrap();
     let _ = read_responses(&mut stream, 1);
@@ -357,28 +310,24 @@ fn stats_frame_reports_health(backend: SocketBackend) {
 }
 
 /// Shutdown drains: every admitted request is answered before the daemon
-/// exits, even when a throttle keeps the queue deep at shutdown time —
-/// and on the threaded backend, shutdown joins every reader thread it
-/// spawned (no handle or thread leaks past the drain).
-fn shutdown_drains_admitted_requests(backend: SocketBackend) {
+/// exits, even when a throttle keeps the queue deep at shutdown time.
+#[test]
+fn shutdown_drains_admitted_requests() {
     let handle = spawn(
         lab_server(),
         DaemonConfig {
-            acceptors: 1,
             batchers: 1,
             max_batch: 4,
             max_wait: Duration::ZERO,
             queue_capacity: 64,
             batch_pause: Duration::from_millis(10),
-            ..config(backend)
+            ..DaemonConfig::default()
         },
         "127.0.0.1:0",
     )
     .expect("spawn daemon");
 
-    // A few sacrificial connections that come and go before the drain:
-    // their reader threads (threaded backend) must be reaped, not
-    // accumulated until shutdown.
+    // A few sacrificial connections that come and go before the drain.
     for id in 100..105u64 {
         let mut scratch = TcpStream::connect(handle.local_addr()).expect("connect");
         scratch.write_all(&cheap_request(id, 0)).unwrap();
@@ -398,33 +347,6 @@ fn shutdown_drains_admitted_requests(backend: SocketBackend) {
     while handle.health().requests_enqueued < (N + 5) as u64 {
         std::thread::sleep(Duration::from_millis(2));
     }
-    if backend == SocketBackend::Threaded {
-        // The leak regression: handles of finished readers used to pile
-        // up until shutdown. The accept path now reaps them, so at most
-        // the live connection (plus stragglers not yet noticed by an
-        // accept) remain. The last accept happened after all five
-        // sacrificial connections closed, but reader exit is asynchronous
-        // — poke accepts until the count settles.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let _ = TcpStream::connect(handle.local_addr());
-            if handle.live_conn_threads() <= 2 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "reader-thread handles not reaped: {} live",
-                handle.live_conn_threads()
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    } else {
-        assert_eq!(
-            handle.live_conn_threads(),
-            0,
-            "event-loop backend must not spawn reader threads"
-        );
-    }
     let health = handle.shutdown();
     assert_eq!(
         health.requests_ok + health.requests_failed + health.rejected_overload,
@@ -436,24 +358,20 @@ fn shutdown_drains_admitted_requests(backend: SocketBackend) {
     assert_eq!(responses.len(), N);
 }
 
-/// Slow-reader eviction (event-loop backend): a connection that floods
-/// requests but never drains its socket is evicted once its bounded
-/// outbound buffer fills — while a well-behaved connection **on the same
-/// single event loop** keeps getting answers throughout. Unbounded reply
-/// buffering (the alternative) would OOM; blocking writes (the threaded
-/// backend's behavior) would be the slow reader's problem alone there,
-/// but on a shared loop would stall every batch-mate.
+/// Slow-reader eviction: a connection that floods requests but never
+/// drains its socket is evicted once its bounded outbound buffer fills —
+/// while a well-behaved connection **on the same single event loop**
+/// keeps getting answers throughout. Unbounded reply buffering would
+/// OOM; blocking writes on a shared loop would stall every batch-mate.
 #[test]
 fn slow_reader_is_evicted_without_stalling_loop_mates() {
     let handle = spawn(
         lab_server(),
         DaemonConfig {
-            acceptors: 1,
             batchers: 1,
             max_batch: 8,
             max_wait: Duration::ZERO,
             queue_capacity: 8192,
-            socket_backend: SocketBackend::EventLoop,
             event_loops: 1, // both connections share one loop
             write_buffer_cap: 16 * 1024,
             ..DaemonConfig::default()
@@ -527,19 +445,19 @@ fn slow_reader_is_evicted_without_stalling_loop_mates() {
 /// makes the two outcomes cleanly separable: draining 160 hot requests
 /// at 8 per 25 ms-paused batch takes ≥ 500 ms, while a fair plane
 /// answers the cold request in a handful of batch pauses.
-fn cold_venue_is_answered_under_hot_flood(backend: SocketBackend) {
+#[test]
+fn cold_venue_is_answered_under_hot_flood() {
     const HOT: usize = 160;
     const COLD_VENUE: u64 = 7;
     let handle = spawn(
         lab_server(),
         DaemonConfig {
-            acceptors: 1,
             batchers: 1,
             max_batch: 8,
             max_wait: Duration::ZERO,
             queue_capacity: 4096,
             batch_pause: Duration::from_millis(25),
-            ..config(backend)
+            ..DaemonConfig::default()
         },
         "127.0.0.1:0",
     )
@@ -605,76 +523,20 @@ fn cold_venue_is_answered_under_hot_flood(backend: SocketBackend) {
     );
 }
 
-/// The legacy single-queue layout (`queue_shards: 1`) stays available as
-/// the A/B correctness oracle and upholds the same serving contract:
-/// every request answered, overload explicit, depth bounded by capacity
-/// — with the sharded plane's counters pinned at zero (one queue has
-/// nothing to steal from and no shard locks to contend).
-fn single_queue_oracle_upholds_the_serving_contract(backend: SocketBackend) {
-    let handle = spawn(
-        lab_server(),
-        DaemonConfig {
-            acceptors: 1,
-            batchers: 2,
-            max_batch: 1,
-            max_wait: Duration::ZERO,
-            queue_capacity: 4,
-            queue_shards: 1,
-            batch_pause: Duration::from_millis(25),
-            ..config(backend)
-        },
-        "127.0.0.1:0",
-    )
-    .expect("spawn daemon");
-
-    const FLOOD: usize = 48;
-    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    let mut blob = Vec::new();
-    for id in 0..FLOOD as u64 {
-        blob.extend_from_slice(&cheap_request(id, 0));
-    }
-    stream.write_all(&blob).expect("flood the daemon");
-
-    let responses = read_responses(&mut stream, FLOOD);
-    let overloaded = responses
-        .iter()
-        .filter(|r| matches!(&r.outcome, Err(e) if e.code == ErrorCode::Overloaded))
-        .count();
-    let solved = responses.iter().filter(|r| r.outcome.is_ok()).count();
-    assert!(overloaded > 0, "no Overloaded replies in {responses:?}");
-    assert!(solved > 0, "no request was solved at all");
-    assert_eq!(overloaded + solved, FLOOD, "every request gets an answer");
-
-    let health = handle.shutdown();
-    assert_eq!(health.rejected_overload, overloaded as u64);
-    assert!(
-        health.queue_depth_peak <= 4,
-        "queue depth {} exceeded the capacity of 4",
-        health.queue_depth_peak
-    );
-    assert_eq!(health.queue_shards, 1, "{health}");
-    assert_eq!(health.queue_steals, 0, "single queue cannot steal");
-    assert_eq!(
-        health.enqueue_contention, 0,
-        "single queue takes the blocking lock, never a try_lock miss"
-    );
-}
-
 /// Closed-loop loadgen smoke: `concurrency: N` drives N synchronous
 /// workers (send-one-wait-one, each on its own connection) against the
 /// sharded plane, every request is answered with a strict reply-id
 /// match, and the report carries per-worker latency quantiles.
-fn closed_loop_loadgen_measures_contended_dispatch(backend: SocketBackend) {
+#[test]
+fn closed_loop_loadgen_measures_contended_dispatch() {
     let venue = Venue::lab();
     let handle = spawn(
         lab_server(),
         DaemonConfig {
-            acceptors: 1,
             batchers: 2,
             max_batch: 8,
             max_wait: Duration::ZERO,
-            ..config(backend)
+            ..DaemonConfig::default()
         },
         "127.0.0.1:0",
     )

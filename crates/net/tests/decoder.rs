@@ -1,5 +1,5 @@
 //! Property and fuzz tests for [`StreamDecoder`], the incremental frame
-//! decoder behind the event-loop socket backend.
+//! decoder behind the daemon's event-loop socket layer.
 //!
 //! The contract under test: however a byte stream is sliced into reads —
 //! one byte at a time, split at every possible boundary, or coalesced

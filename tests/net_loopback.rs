@@ -5,17 +5,14 @@
 //!
 //! This is the protocol's determinism contract: `f64`s cross the wire as
 //! raw bits and the pipeline is RNG-free, so serving over TCP must change
-//! nothing — not even the low bit of a coordinate.
-//!
-//! The contract is pinned on **both socket backends**: the readiness-
-//! driven event loop (the Unix default) and the thread-per-connection
-//! fallback must be observationally indistinguishable down to the bit.
+//! nothing — not even the low bit of a coordinate. This is the oracle
+//! for the daemon's socket layer and dispatch plane.
 
 use nomloc_core::scenario::Venue;
 use nomloc_core::server::CsiReport;
 use nomloc_core::{ApSite, LocalizationServer};
 use nomloc_net::wire::WireEstimate;
-use nomloc_net::{loadgen, spawn, DaemonConfig, ErrorCode, LoadgenConfig, SocketBackend};
+use nomloc_net::{loadgen, spawn, DaemonConfig, ErrorCode, LoadgenConfig};
 use nomloc_rfsim::{Environment, RadioConfig, SubcarrierGrid};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,20 +76,14 @@ fn estimate_bits(e: &WireEstimate) -> [u64; 9] {
 }
 
 mod loopback_loadgen_matches_in_process_bit_for_bit {
-    use super::SocketBackend;
-
-    #[test]
-    fn threaded() {
-        super::loopback_loadgen_matches_in_process_bit_for_bit(SocketBackend::Threaded);
-    }
-
+    /// The daemon's socket layer is the readiness-driven event loop.
     #[test]
     fn event_loop() {
-        super::loopback_loadgen_matches_in_process_bit_for_bit(SocketBackend::EventLoop);
+        super::loopback_loadgen_matches_in_process_bit_for_bit();
     }
 }
 
-fn loopback_loadgen_matches_in_process_bit_for_bit(backend: SocketBackend) {
+fn loopback_loadgen_matches_in_process_bit_for_bit() {
     let venue = Venue::lab();
     let batch = workload(&venue);
 
@@ -102,15 +93,8 @@ fn loopback_loadgen_matches_in_process_bit_for_bit(backend: SocketBackend) {
     let expected = reference.process_batch(&batch);
 
     let daemon_server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
-    let handle = spawn(
-        daemon_server,
-        DaemonConfig {
-            socket_backend: backend,
-            ..DaemonConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("spawn loopback daemon");
+    let handle = spawn(daemon_server, DaemonConfig::default(), "127.0.0.1:0")
+        .expect("spawn loopback daemon");
 
     let report = loadgen::run(
         handle.local_addr(),
