@@ -188,7 +188,6 @@ fn run_dispatch(counts: &[usize], requests_per_pass: usize) -> Vec<DispatchScale
         .map(|&live| {
             let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
             let config = nomloc_net::DaemonConfig {
-                max_wait: std::time::Duration::ZERO,
                 queue_capacity: requests_per_pass.max(1024) * 2,
                 batchers: 2,
                 max_batch: 64,
@@ -290,12 +289,7 @@ struct VenueScale {
 /// Every onboarded venue carries the *Lab* geometry, so per-request solve
 /// work is identical at every venue count — the measured delta between
 /// 1 and N live venues is purely registry-resolution and venue-sharding
-/// overhead, which is the thing this section prices. The daemons run with
-/// `max_wait: ZERO` so a micro-batch ships as soon as the same-venue run
-/// at the queue head is exhausted: with the default 500 µs flush timer,
-/// scattering traffic over N venues multiplies *timer stalls* (each
-/// venue-homogeneous batch waits out the full timer), which would swamp
-/// the per-request cost this section is after.
+/// overhead, which is the thing this section prices.
 fn run_venue_scales(counts: &[usize], batch: &[Vec<CsiReport>]) -> Vec<VenueScale> {
     struct LiveScale {
         live_venues: usize,
@@ -309,10 +303,7 @@ fn run_venue_scales(counts: &[usize], batch: &[Vec<CsiReport>]) -> Vec<VenueScal
         .iter()
         .map(|&live| {
             let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
-            let config = nomloc_net::DaemonConfig {
-                max_wait: std::time::Duration::ZERO,
-                ..nomloc_net::DaemonConfig::default()
-            };
+            let config = nomloc_net::DaemonConfig::default();
             let handle =
                 nomloc_net::spawn(server, config, "127.0.0.1:0").expect("spawn venue-scale daemon");
             let addr = handle.local_addr();
@@ -393,10 +384,7 @@ struct SessionCost {
 fn run_sessions(batch: &[Vec<CsiReport>]) -> SessionCost {
     let venue = Venue::lab();
     let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
-    let config = nomloc_net::DaemonConfig {
-        max_wait: std::time::Duration::ZERO,
-        ..nomloc_net::DaemonConfig::default()
-    };
+    let config = nomloc_net::DaemonConfig::default();
     let handle = nomloc_net::spawn(server, config, "127.0.0.1:0").expect("spawn session daemon");
     let addr = handle.local_addr();
     let stateless = nomloc_net::LoadgenConfig {

@@ -135,10 +135,8 @@ pub struct ServeSpec {
     pub seed: u64,
     /// Daemon mode: the address to listen on (e.g. `127.0.0.1:4455`).
     pub listen: Option<String>,
-    /// Daemon: flush a micro-batch at this many requests.
+    /// Daemon: micro-batch size cap.
     pub max_batch: usize,
-    /// Daemon: …or this many microseconds after its first request.
-    pub max_wait_us: u64,
     /// Daemon: admission-queue capacity (`Overloaded` beyond it).
     pub queue_cap: usize,
     /// Daemon: batcher threads forming micro-batches.
@@ -165,7 +163,6 @@ impl Default for ServeSpec {
             seed: 2014,
             listen: None,
             max_batch: 32,
-            max_wait_us: 500,
             queue_cap: 1024,
             batchers: 2,
             max_requests: 0,
@@ -424,7 +421,6 @@ SERVE OPTIONS:
     --listen ADDR                 run the nomloc-net daemon on ADDR
                                   (e.g. 127.0.0.1:4455; port 0 = ephemeral)
     --max-batch N                 daemon: micro-batch size cap (default 32)
-    --max-wait-us N               daemon: micro-batch max wait (default 500)
     --queue-cap N                 daemon: admission queue cap (default 1024)
     --batchers N                  daemon: batcher threads (default 2)
     --max-requests N              daemon: exit after N responses (default 0
@@ -654,11 +650,6 @@ fn parse_serve(args: &[String]) -> Result<ServeSpec, ParseError> {
                 if spec.max_batch == 0 {
                     return Err(err("flag `--max-batch`: must be positive"));
                 }
-            }
-            "--max-wait-us" => {
-                spec.max_wait_us = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--max-wait-us`: not an integer"))?
             }
             "--queue-cap" => {
                 spec.queue_cap = parse_usize(flag, take_value(flag, &mut it)?)?;
@@ -993,7 +984,6 @@ pub fn start_daemon(spec: &ServeSpec) -> Result<nomloc_net::DaemonHandle, String
     let config = nomloc_net::DaemonConfig {
         batchers: spec.batchers,
         max_batch: spec.max_batch,
-        max_wait: std::time::Duration::from_micros(spec.max_wait_us),
         queue_capacity: spec.queue_cap,
         event_loops: spec.event_loops,
         venue_budget_bytes: spec.venue_budget,
@@ -1421,7 +1411,7 @@ mod tests {
     #[test]
     fn serve_daemon_flags() {
         let cmd = parse(&args(
-            "serve --listen 127.0.0.1:4455 --max-batch 8 --max-wait-us 250 \
+            "serve --listen 127.0.0.1:4455 --max-batch 8 \
              --queue-cap 64 --batchers 3 --max-requests 500 --event-loops 4",
         ))
         .unwrap();
@@ -1430,7 +1420,6 @@ mod tests {
             Command::Serve(ServeSpec {
                 listen: Some("127.0.0.1:4455".to_string()),
                 max_batch: 8,
-                max_wait_us: 250,
                 queue_cap: 64,
                 batchers: 3,
                 max_requests: 500,
@@ -1510,12 +1499,13 @@ mod tests {
     #[test]
     fn removed_socket_and_queue_flags_are_unknown() {
         // The daemon has one socket layer and one dispatch plane, so the
-        // flags that used to select between alternatives are gone.
+        // flags that used to select between alternatives are gone; batching
+        // is work-conserving, so the fill-window knob is gone too.
         for cmd in ["serve", "loadgen", "chaos"] {
             let e = parse(&args(&format!("{cmd} --socket-backend event-loop"))).unwrap_err();
             assert!(e.to_string().contains("unknown"), "{cmd}: {e}");
         }
-        for flag in ["--acceptors 2", "--queue-shards 8"] {
+        for flag in ["--acceptors 2", "--queue-shards 8", "--max-wait-us 500"] {
             let e = parse(&args(&format!("serve {flag}"))).unwrap_err();
             assert!(e.to_string().contains("unknown serve flag"), "{flag}: {e}");
         }

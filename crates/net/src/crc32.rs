@@ -7,9 +7,8 @@
 //! the main entry point is slicing-by-8 (eight compile-time tables, eight
 //! payload bytes folded per iteration), which retires roughly an order of
 //! magnitude more bytes per cycle than the classic byte-at-a-time loop.
-//! The byte-wise form is retained as [`crc32_bytewise`] — it is the
-//! equivalence oracle for the sliced kernel and the baseline the serving
-//! benchmark compares against.
+//! The byte-wise form lives in this module's tests as the equivalence
+//! oracle for the sliced kernel; it does not ship in the library.
 
 /// Slicing-by-8 lookup tables: `TABLES[0]` is the classic reflected
 /// byte table; `TABLES[j][b]` advances the CRC of byte `b` through `j`
@@ -49,7 +48,8 @@ const fn build_tables() -> [[u32; 256]; 8] {
 ///
 /// Slicing-by-8: folds eight bytes per iteration through the precomputed
 /// tables, with the byte-wise loop finishing the tail. Bit-identical to
-/// [`crc32_bytewise`] for every input.
+/// the classic byte-at-a-time loop for every input (checked against it
+/// in the tests).
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
@@ -71,21 +71,19 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// The classic byte-at-a-time reflected table-driven CRC-32.
-///
-/// Retained as the equivalence oracle for [`crc32`] and as the serving
-/// benchmark's pre-optimization baseline.
-pub fn crc32_bytewise(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classic byte-at-a-time reflected table-driven CRC-32: the
+    /// equivalence oracle for the sliced [`crc32`].
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn check_value() {

@@ -22,8 +22,11 @@
 //! * **Cross-connection micro-batching**: loops push decoded requests
 //!   into the dispatch plane (see [`dispatch`]) — `QUEUE_SHARDS` (8)
 //!   venue-affine shard queues; `batchers` threads pop venue-homogeneous
-//!   batches of up to `max_batch` requests, waiting at most `max_wait` —
-//!   requests from *different* connections land in the same
+//!   batches of up to `max_batch` requests. Batching is work-conserving:
+//!   a batcher takes whatever its venue's queue holds and never waits for
+//!   more, so a lone request is solved at once and batches grow only as
+//!   requests pile up behind a busy batcher — requests from *different*
+//!   connections then land in the same
 //!   `LocalizationServer::process_batch` call.
 //! * **Admission control**: when the plane holds `queue_capacity`
 //!   requests (a global bound across all shards), new arrivals are
@@ -79,10 +82,9 @@ const QUEUE_SHARDS: usize = 8;
 pub struct DaemonConfig {
     /// Batcher threads popping micro-batches off the dispatch plane.
     pub batchers: usize,
-    /// Flush a micro-batch as soon as it reaches this many requests.
+    /// Cap on a micro-batch: a batcher takes at most this many queued
+    /// requests of one venue per pop.
     pub max_batch: usize,
-    /// …or once this much time has passed since its first request.
-    pub max_wait: Duration,
     /// Admission-queue capacity; arrivals beyond it get `Overloaded`.
     /// A *global* bound: the dispatch plane enforces it with one atomic
     /// gauge across all shards.
@@ -124,7 +126,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             batchers: 2,
             max_batch: 32,
-            max_wait: Duration::from_micros(500),
             queue_capacity: 1024,
             batch_pause: Duration::ZERO,
             fault_plan: None,
@@ -260,7 +261,6 @@ pub fn spawn<A: ToSocketAddrs>(
         dispatch: dispatch::Dispatch::new(QUEUE_SHARDS, config.batchers.max(1)),
         dispatch_config: dispatch::DispatchConfig {
             max_batch: config.max_batch,
-            max_wait: config.max_wait,
             queue_capacity: config.queue_capacity,
         },
         config: config.clone(),

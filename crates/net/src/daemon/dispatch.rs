@@ -18,6 +18,12 @@
 //! the same [`POLL_INTERVAL`] backstop every blocking wait in the
 //! daemon uses.
 //!
+//! Batching is *work-conserving*: a batcher ships whatever its venue's
+//! FIFO holds the moment it pops (up to `max_batch`) and never waits for
+//! more. Requests that arrive while it solves queue up and form the next
+//! batch, so batches grow with load on their own and a lone request at
+//! low load is solved as soon as a batcher is free.
+//!
 //! **Contract**: admission control is a *global* capacity (one atomic
 //! depth gauge across all shards), so `queue_depth_peak <=
 //! queue_capacity` holds and `Overloaded` is decided in one place;
@@ -33,7 +39,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Venue→shard by fibonacci hashing — the same multiplicative mix the
 /// session table uses, so consecutive venue ids spread evenly.
@@ -46,19 +52,7 @@ fn shard_of(venue: u64, shards: usize) -> usize {
 #[derive(Clone, Copy)]
 pub(super) struct DispatchConfig {
     pub max_batch: usize,
-    pub max_wait: Duration,
     pub queue_capacity: usize,
-}
-
-/// One venue's FIFO within a shard, plus whether the venue currently
-/// occupies a slot in the shard's round-robin order.
-#[derive(Default)]
-struct VenueQueue {
-    q: VecDeque<Pending>,
-    /// The venue id is present in `ShardState::order`. Kept in lockstep
-    /// so a venue is never listed twice (which would double-serve it) or
-    /// dropped while it still holds requests (which would strand them).
-    listed: bool,
 }
 
 #[derive(Default)]
@@ -68,7 +62,11 @@ struct ShardState {
     /// same shard is reached within one pass of the listed venues —
     /// bounded batches, no starvation.
     order: VecDeque<u64>,
-    venues: HashMap<u64, VenueQueue>,
+    /// Per-venue FIFOs. Kept in lockstep with `order`: a venue has an
+    /// entry here exactly when it holds requests, and then it is listed
+    /// in `order` exactly once — never twice (which would double-serve
+    /// it) and never dropped (which would strand its requests).
+    venues: HashMap<u64, VecDeque<Pending>>,
     /// Requests queued in this shard (the global gauge lives in
     /// [`Dispatch::depth`]).
     len: usize,
@@ -148,71 +146,30 @@ impl Dispatch {
     }
 
     /// Pops one venue-homogeneous batch (≤ `max_batch`) off `shard`'s
-    /// round-robin order. No scan: the per-venue FIFO is drained from
-    /// the front. Returns the batch's venue, or `None` if the shard has
+    /// round-robin order into the empty `batch`. No scan: the per-venue
+    /// FIFO is drained from the front. Returns `false` if the shard has
     /// no queued requests.
-    fn pop_batch_from(
-        &self,
-        shard: usize,
-        batch: &mut Vec<Pending>,
-        max_batch: usize,
-    ) -> Option<u64> {
+    fn pop_batch_from(&self, shard: usize, batch: &mut Vec<Pending>, max_batch: usize) -> bool {
         let mut state = self.shards[shard].lock().unwrap();
-        loop {
-            let venue = *state.order.front()?;
-            state.order.pop_front();
-            let vq = state
-                .venues
-                .get_mut(&venue)
-                .expect("listed venues have a queue");
-            if vq.q.is_empty() {
-                // Stale listing (a fill-wait or steal emptied it after it
-                // was re-listed): unlist and keep looking.
-                vq.listed = false;
-                state.venues.remove(&venue);
-                continue;
-            }
-            let take = vq.q.len().min(max_batch.saturating_sub(batch.len()).max(1));
-            batch.extend(vq.q.drain(..take));
-            if vq.q.is_empty() {
-                vq.listed = false;
-                state.venues.remove(&venue);
-            } else {
-                // Round-robin: the venue's remainder goes to the back, so
-                // shard-mates get served before its next batch.
-                state.order.push_back(venue);
-            }
-            state.len -= take;
-            self.depth.fetch_sub(take, Ordering::AcqRel);
-            return Some(venue);
-        }
-    }
-
-    /// Pops any queued requests for `venue` from `shard` (front of its
-    /// FIFO, up to the batch's remaining headroom) during the max_wait
-    /// fill window. Returns how many were taken.
-    fn pop_same_venue(
-        &self,
-        shard: usize,
-        venue: u64,
-        batch: &mut Vec<Pending>,
-        max_batch: usize,
-    ) -> usize {
-        let mut state = self.shards[shard].lock().unwrap();
-        let Some(vq) = state.venues.get_mut(&venue) else {
-            return 0;
+        let Some(venue) = state.order.pop_front() else {
+            return false;
         };
-        let take = vq.q.len().min(max_batch.saturating_sub(batch.len()));
-        if take == 0 {
-            return 0;
-        }
-        batch.extend(vq.q.drain(..take));
-        if vq.q.is_empty() && !vq.listed {
+        let q = state
+            .venues
+            .get_mut(&venue)
+            .expect("listed venues have queued requests");
+        let take = q.len().min(max_batch.max(1));
+        batch.extend(q.drain(..take));
+        if q.is_empty() {
             state.venues.remove(&venue);
+        } else {
+            // Round-robin: the venue's remainder goes to the back, so
+            // shard-mates get served before its next batch.
+            state.order.push_back(venue);
         }
         state.len -= take;
         self.depth.fetch_sub(take, Ordering::AcqRel);
-        take
+        true
     }
 
     /// Registers the calling thread as batcher `idx` for targeted
@@ -267,10 +224,10 @@ impl Dispatch {
             }
             Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
         };
-        let vq = state.venues.entry(venue).or_default();
-        vq.q.push_back(p);
-        if !vq.listed {
-            vq.listed = true;
+        let q = state.venues.entry(venue).or_default();
+        let newly_listed = q.is_empty();
+        q.push_back(p);
+        if newly_listed {
             state.order.push_back(venue);
         }
         state.len += 1;
@@ -281,7 +238,8 @@ impl Dispatch {
     }
 
     /// Requeues a dying batcher's batch at the *front* of its own
-    /// shard's venue FIFO, preserving request order, then wakes everyone so a sibling picks it up. The batch is
+    /// shard's venue FIFO, preserving request order, then wakes everyone
+    /// so a sibling picks it up. The batch is
     /// venue-homogeneous by construction, so the whole thing goes back
     /// to one venue FIFO.
     pub(super) fn requeue_front(&self, batch: &mut Vec<Pending>) {
@@ -296,12 +254,9 @@ impl Dispatch {
         // still implies an empty plane for drain checks).
         self.depth.fetch_add(n, Ordering::AcqRel);
         let mut state = self.shards[shard].lock().unwrap();
-        let vq = state.venues.entry(venue).or_default();
+        let q = state.venues.entry(venue).or_default();
         for p in batch.drain(..).rev() {
-            vq.q.push_front(p);
-        }
-        if !vq.listed {
-            vq.listed = true;
+            q.push_front(p);
         }
         // The venue goes to the order *front*: the requeued batch
         // is the oldest admitted work in this shard.
@@ -323,7 +278,9 @@ impl Dispatch {
     }
 
     /// Blocks for the next venue-homogeneous micro-batch into `batch`
-    /// (cleared first; capacity reused). `batcher` is the caller's slot
+    /// (cleared first; capacity reused): whatever the first non-empty
+    /// venue FIFO holds, up to `max_batch`, returned at once with no fill
+    /// wait. Blocks only while the whole plane is empty. `batcher` is the caller's slot
     /// index — it selects the owned shards and the parking slot (the
     /// watchdog's final drain passes 0; it never
     /// parks because a drained plane returns `false` immediately).
@@ -350,50 +307,41 @@ impl Dispatch {
             0
         };
         let slot = self.batchers.get(batcher);
-        let venue = loop {
+        loop {
             // Owned shards first, entered at the rotating cursor
             // so a hot owned shard cannot shadow a cold one.
-            let mut got = None;
             let oc = slot
                 .map(|sl| sl.own_cursor.load(Ordering::Relaxed))
                 .unwrap_or(0);
             for k in 0..owned {
                 let idx = (oc + k) % owned;
-                let shard = b + idx * nb;
-                if let Some(v) = self.pop_batch_from(shard, batch, config.max_batch) {
+                if self.pop_batch_from(b + idx * nb, batch, config.max_batch) {
                     if let Some(sl) = slot {
                         sl.own_cursor.store((idx + 1) % owned, Ordering::Relaxed);
                     }
-                    got = Some(v);
-                    break;
+                    return true;
                 }
             }
             // Every owned shard is dry: steal from the rest,
             // again from a rotating start, so dry batchers fan
             // out over hot shards without re-draining the first
             // one they find.
-            if got.is_none() {
-                let sc = slot
-                    .map(|sl| sl.steal_cursor.load(Ordering::Relaxed))
-                    .unwrap_or(0);
-                for k in 0..nshards {
-                    let shard = (sc + k) % nshards;
-                    if shard % nb == b {
-                        continue; // owned; just scanned above
-                    }
-                    if let Some(v) = self.pop_batch_from(shard, batch, config.max_batch) {
-                        stats.record_queue_steal();
-                        if let Some(sl) = slot {
-                            sl.steal_cursor
-                                .store((shard + 1) % nshards, Ordering::Relaxed);
-                        }
-                        got = Some(v);
-                        break;
-                    }
+            let sc = slot
+                .map(|sl| sl.steal_cursor.load(Ordering::Relaxed))
+                .unwrap_or(0);
+            for k in 0..nshards {
+                let shard = (sc + k) % nshards;
+                if shard % nb == b {
+                    continue; // owned; just scanned above
                 }
-            }
-            if let Some(v) = got {
-                break v;
+                if self.pop_batch_from(shard, batch, config.max_batch) {
+                    stats.record_queue_steal();
+                    if let Some(sl) = slot {
+                        sl.steal_cursor
+                            .store((shard + 1) % nshards, Ordering::Relaxed);
+                    }
+                    return true;
+                }
             }
             if shutting_down() && self.depth.load(Ordering::Acquire) == 0 {
                 return false;
@@ -404,7 +352,7 @@ impl Dispatch {
             // re-check, so an enqueue between our scan and the
             // park is guaranteed to either land in the re-check
             // or leave us an unpark token.
-            if let Some(slot) = self.batchers.get(batcher) {
+            if let Some(slot) = slot {
                 slot.parked.store(true, Ordering::Release);
                 if self.depth.load(Ordering::Acquire) > 0 || shutting_down() {
                     slot.parked.store(false, Ordering::Release);
@@ -418,36 +366,6 @@ impl Dispatch {
                 // the in-flight enqueue to land.
                 std::thread::sleep(Duration::from_micros(50));
             }
-        };
-        // Fill window: wait out max_wait for more same-venue arrivals;
-        // each re-check is a front-pop on one venue FIFO, not a scan.
-        // The batch's venue lives in *its* shard even if this batcher
-        // stole it.
-        let home = shard_of(venue, nshards);
-        let flush_by = Instant::now() + config.max_wait;
-        while batch.len() < config.max_batch && !shutting_down() {
-            let now = Instant::now();
-            if now >= flush_by {
-                break;
-            }
-            if self.pop_same_venue(home, venue, batch, config.max_batch) > 0 {
-                continue;
-            }
-            if let Some(slot) = self.batchers.get(batcher) {
-                slot.parked.store(true, Ordering::Release);
-                if self.pop_same_venue(home, venue, batch, config.max_batch) == 0 {
-                    std::thread::park_timeout((flush_by - now).min(POLL_INTERVAL));
-                }
-                slot.parked.store(false, Ordering::Release);
-            } else {
-                std::thread::sleep((flush_by - now).min(Duration::from_micros(50)));
-            }
         }
-        // One last sweep so a just-arrived straggler ships now
-        // instead of paying a whole extra batch.
-        if batch.len() < config.max_batch {
-            self.pop_same_venue(home, venue, batch, config.max_batch);
-        }
-        true
     }
 }

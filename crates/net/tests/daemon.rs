@@ -101,7 +101,6 @@ fn overload_answers_with_bounded_queue() {
         DaemonConfig {
             batchers: 1,
             max_batch: 1,
-            max_wait: Duration::ZERO,
             queue_capacity: 4,
             batch_pause: Duration::from_millis(25),
             ..DaemonConfig::default()
@@ -150,7 +149,6 @@ fn queued_deadline_expiry_is_reported() {
         DaemonConfig {
             batchers: 1,
             max_batch: 1,
-            max_wait: Duration::ZERO,
             queue_capacity: 64,
             // Every batch waits 30 ms before solving, so a 1 ms deadline
             // is always stale by solve time.
@@ -175,8 +173,9 @@ fn queued_deadline_expiry_is_reported() {
 }
 
 /// A semantically malformed request inside a pipelined burst errors only
-/// itself: its neighbors in the same micro-batch still get estimates, and
-/// the connection stays open.
+/// itself: admission rejects it (`Malformed`) before it can join a
+/// micro-batch, its neighbors still get estimates, and the connection
+/// stays open.
 #[test]
 fn malformed_request_does_not_poison_the_batch() {
     let venue = Venue::lab();
@@ -185,7 +184,6 @@ fn malformed_request_does_not_poison_the_batch() {
         DaemonConfig {
             batchers: 1,
             max_batch: 16,
-            max_wait: Duration::from_millis(20),
             ..DaemonConfig::default()
         },
         "127.0.0.1:0",
@@ -243,6 +241,51 @@ fn malformed_request_does_not_poison_the_batch() {
         responses[2].outcome.is_ok(),
         "request 2 should localize: {:?}",
         responses[2].outcome
+    );
+    handle.shutdown();
+}
+
+/// Batching needs no fill timer: with one batcher held busy by a pause,
+/// a pipelined burst piles up in the queue and ships in a few large
+/// batches on the batcher's next pops, not in one batch per request.
+#[test]
+fn backlog_batches_without_a_fill_window() {
+    let handle = spawn(
+        lab_server(),
+        DaemonConfig {
+            batchers: 1,
+            batch_pause: Duration::from_millis(20),
+            ..DaemonConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("spawn daemon");
+
+    const N: usize = 40;
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut blob = Vec::new();
+    for id in 0..N as u64 {
+        blob.extend_from_slice(&cheap_request(id, 0));
+    }
+    stream.write_all(&blob).expect("send the burst");
+
+    let responses = read_responses(&mut stream, N);
+    assert!(
+        responses.iter().all(|r| r.outcome.is_ok()),
+        "every request localizes: {responses:?}"
+    );
+    let snap = handle.stats_snapshot();
+    assert!(
+        snap.counters.batches_dispatched < N as u64,
+        "{} batches for {N} requests: the backlog was not batched",
+        snap.counters.batches_dispatched
+    );
+    // Bucket 0 holds single-request batches; any count above it is a
+    // batch of two or more.
+    assert!(
+        snap.batch_sizes.buckets[1..].iter().any(|&c| c > 0),
+        "no batch held more than one request: {:?}",
+        snap.batch_sizes
     );
     handle.shutdown();
 }
@@ -318,7 +361,6 @@ fn shutdown_drains_admitted_requests() {
         DaemonConfig {
             batchers: 1,
             max_batch: 4,
-            max_wait: Duration::ZERO,
             queue_capacity: 64,
             batch_pause: Duration::from_millis(10),
             ..DaemonConfig::default()
@@ -370,7 +412,6 @@ fn slow_reader_is_evicted_without_stalling_loop_mates() {
         DaemonConfig {
             batchers: 1,
             max_batch: 8,
-            max_wait: Duration::ZERO,
             queue_capacity: 8192,
             event_loops: 1, // both connections share one loop
             write_buffer_cap: 16 * 1024,
@@ -454,7 +495,6 @@ fn cold_venue_is_answered_under_hot_flood() {
         DaemonConfig {
             batchers: 1,
             max_batch: 8,
-            max_wait: Duration::ZERO,
             queue_capacity: 4096,
             batch_pause: Duration::from_millis(25),
             ..DaemonConfig::default()
@@ -535,7 +575,6 @@ fn closed_loop_loadgen_measures_contended_dispatch() {
         DaemonConfig {
             batchers: 2,
             max_batch: 8,
-            max_wait: Duration::ZERO,
             ..DaemonConfig::default()
         },
         "127.0.0.1:0",

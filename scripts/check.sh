@@ -46,6 +46,26 @@ echo "==> loopback smoke: loadgen with an idle crowd"
 cargo run --release -p nomloc-cli --bin nomloc --offline -- \
   loadgen --requests 200 --idle-connections 500
 
+echo "==> single-flight latency smoke: one request in flight, loopback daemon"
+# With one request in flight at a time every request finds an idle
+# batcher, so its p50 is socket plus solve time only: ~0.1 ms on a
+# 2-vCPU host. Any timer in the dispatch path shows up here in full (the
+# old 500 µs batch-fill window measured 0.74-0.80 ms on the same host).
+sf_out="$(cargo run --release -p nomloc-cli --bin nomloc --offline -- \
+  loadgen --connections 1 --concurrency 1 --requests 1000 --packets 1)"
+sf_p50="$(echo "$sf_out" | sed -n 's/.*latency p50 \([0-9.]*\) ms.*/\1/p' | head -1)"
+if [[ -z "$sf_p50" ]]; then
+  echo "error: single-flight loadgen reported no latency p50" >&2
+  exit 1
+fi
+awk -v p="$sf_p50" 'BEGIN {
+  printf "    single-flight latency p50: %.3f ms (limit 0.400 ms)\n", p
+  exit (p >= 0.4) ? 1 : 0
+}' || {
+  echo "error: single-flight p50 >= 0.4 ms — is a timer back in the dispatch path?" >&2
+  exit 1
+}
+
 echo "==> multi-venue smoke: 8 venues over the admin plane, zipf traffic"
 mv_out="$(cargo run --release -p nomloc-cli --bin nomloc --offline -- \
   loadgen --requests 400 --packets 2 --venues 8 --zipf 1.0)"
