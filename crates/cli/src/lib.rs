@@ -192,11 +192,6 @@ pub struct LoadgenSpec {
     pub deadline_us: u32,
     /// Loopback daemon: worker threads (`0` = one per available CPU).
     pub workers: usize,
-    /// Report the daemon's reply-buffer reuse counters (bytes encoded /
-    /// bytes into pooled buffers / pool hit-rate). Daemon-local display
-    /// only — the counters never travel on the wire, so with `--connect`
-    /// this prints a pointer at the daemon's own stats output instead.
-    pub payload_reuse: bool,
     /// Extra connections opened and held idle for the whole run —
     /// exercises the event loop's mostly-idle scaling.
     pub idle_connections: usize,
@@ -229,7 +224,6 @@ impl Default for LoadgenSpec {
             seed: 2014,
             deadline_us: 0,
             workers: 0,
-            payload_reuse: false,
             idle_connections: 0,
             venues: 0,
             zipf: 1.0,
@@ -443,9 +437,6 @@ LOADGEN OPTIONS:
     --seed N                      workload RNG seed (default 2014)
     --deadline-us N               per-request deadline, 0 = none (default 0)
     --workers N                   loopback daemon worker threads (default 0)
-    --payload-reuse               report reply-buffer reuse: bytes encoded,
-                                  bytes into pooled buffers, pool hit-rate
-                                  (daemon-local counters; loopback only)
     --idle-connections N          extra connections opened and held idle
                                   for the whole run (default 0)
     --venues N                    onboard N fleet venues over the admin
@@ -704,7 +695,6 @@ fn parse_loadgen(args: &[String]) -> Result<LoadgenSpec, ParseError> {
                     .map_err(|_| err("flag `--deadline-us`: not an integer"))?
             }
             "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--payload-reuse" => spec.payload_reuse = true,
             "--idle-connections" => {
                 spec.idle_connections = parse_usize(flag, take_value(flag, &mut it)?)?
             }
@@ -1086,27 +1076,6 @@ pub fn run_loadgen(spec: &LoadgenSpec) -> Result<String, String> {
         let health = handle.shutdown();
         out.push('\n');
         out.push_str(&health.to_string());
-        if spec.payload_reuse {
-            let lookups = health.pool_hits + health.pool_misses;
-            let hit_rate = if lookups == 0 {
-                0.0
-            } else {
-                100.0 * health.pool_hits as f64 / lookups as f64
-            };
-            out.push_str(&format!(
-                "payload reuse: {} bytes encoded, {} bytes into pooled buffers \
-                 ({} hits / {} misses, hit-rate {hit_rate:.1}%)\n",
-                health.reply_bytes_encoded,
-                health.reply_bytes_pooled,
-                health.pool_hits,
-                health.pool_misses,
-            ));
-        }
-    } else if spec.payload_reuse {
-        out.push_str(
-            "payload reuse: counters are daemon-local (never serialized on the \
-             wire); read them from the remote daemon's own stats output\n",
-        );
     }
     Ok(out)
 }
@@ -1509,6 +1478,10 @@ mod tests {
             let e = parse(&args(&format!("serve {flag}"))).unwrap_err();
             assert!(e.to_string().contains("unknown serve flag"), "{flag}: {e}");
         }
+        // The reply-pool counters travel in every health frame, so the
+        // loadgen flag that re-printed them is gone as well.
+        let e = parse(&args("loadgen --payload-reuse")).unwrap_err();
+        assert!(e.to_string().contains("unknown loadgen flag"), "{e}");
     }
 
     #[test]
@@ -1516,7 +1489,7 @@ mod tests {
         let cmd = parse(&args(
             "loadgen --connect 10.0.0.7:4455 --venue mall --connections 8 \
              --requests 2000 --packets 2 --seed 7 --deadline-us 1500 --workers 3 \
-             --payload-reuse --idle-connections 5000 \
+             --idle-connections 5000 \
              --venues 100 --zipf 1.2 --sessions --concurrency 6",
         ))
         .unwrap();
@@ -1531,7 +1504,6 @@ mod tests {
                 seed: 7,
                 deadline_us: 1500,
                 workers: 3,
-                payload_reuse: true,
                 idle_connections: 5000,
                 venues: 100,
                 zipf: 1.2,
@@ -1620,7 +1592,6 @@ mod tests {
             packets: 2,
             connections: 2,
             workers: 2,
-            payload_reuse: true,
             ..LoadgenSpec::default()
         })
         .unwrap();
@@ -1629,11 +1600,11 @@ mod tests {
         assert!(out.contains("ok 12"), "requests failed:\n{out}");
         // The loopback daemon's drain-time health summary rides along.
         assert!(out.contains("nomloc-net health"), "missing health:\n{out}");
-        // --payload-reuse reports the buffer-pool counters from the same
-        // drain-time health (daemon-local; never on the wire).
+        // Every reply is encoded into a pool checkout, so the health
+        // summary reports the buffer pool.
         assert!(
-            out.contains("payload reuse:") && out.contains("hit-rate"),
-            "missing payload-reuse report:\n{out}"
+            out.contains("pool hit-rate"),
+            "missing buffer-pool line:\n{out}"
         );
     }
 
@@ -1711,22 +1682,6 @@ mod tests {
         let msg = admin(format!("venue retire --connect {connect} --id 99")).unwrap_err();
         assert!(msg.contains("99"), "unhelpful error: {msg}");
         handle.shutdown();
-    }
-
-    #[test]
-    fn run_loadgen_payload_reuse_needs_loopback() {
-        // With --connect the counters can't be read over the wire (they
-        // are daemon-local by design), so the report is an honest pointer
-        // instead of a table of zeros. The connect itself must fail fast
-        // against a port nothing listens on, so only the parse/compose
-        // path is exercised here.
-        let spec = LoadgenSpec {
-            connect: Some("bad address".to_string()),
-            payload_reuse: true,
-            ..LoadgenSpec::default()
-        };
-        let msg = run_loadgen(&spec).unwrap_err();
-        assert!(msg.contains("bad address"), "unexpected message: {msg}");
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl PdpEstimator {
     ///
     /// When every snapshot across every burst has the same CSI length, the
     /// whole set is flattened into lane-major chunks of up to
-    /// [`MAX_BATCH_LANES`] lanes and run through the batched kernel —
+    /// `MAX_BATCH_LANES` lanes and run through the batched kernel —
     /// cross-report batching fills far more vector lanes than any single
     /// burst (the serving workload has 2-packet bursts but 8+ snapshots per
     /// request). The flat peak sequence is then segmented back per burst

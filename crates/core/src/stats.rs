@@ -11,6 +11,10 @@
 //! [`PipelineStats::snapshot`] returns a plain-data [`StatsSnapshot`] whose
 //! [`CounterTotals`] half is deterministic for a deterministic workload; the
 //! batch-determinism integration test relies on that split.
+//!
+//! Each counter set is declared once with [`counter_set!`](crate::counter_set),
+//! which derives the plain struct, its atomic twin, snapshot, reset and the
+//! ordered views the wire codec walks.
 
 use crate::estimator::{EstimateQuality, FailureCause};
 use std::fmt;
@@ -218,92 +222,225 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Deterministic counter totals of a [`StatsSnapshot`].
+/// Declares a set of `u64` counters once and derives everything that
+/// walks the whole set from that one list.
 ///
-/// For a fixed request stream these are identical whether the server ran
-/// serially or across `localize_batch` workers — the counters are pure
-/// sums of per-request quantities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CounterTotals {
-    /// Localization requests served (one per `localize`/`process` call).
-    pub requests: u64,
-    /// Raw CSI reports offered to PDP extraction.
-    pub reports_in: u64,
-    /// PDP readings that survived extraction.
-    pub readings_extracted: u64,
-    /// Pairwise proximity judgements formed.
-    pub judgements_formed: u64,
-    /// Half-plane constraints assembled (judgement + boundary).
-    pub constraints_generated: u64,
-    /// Simplex pivot iterations across every relaxation and center LP.
-    pub simplex_iterations: u64,
-    /// Center LPs that reused the relaxation witness as a warm start and
-    /// skipped simplex Phase-1 (one candidate per venue piece per request).
-    pub warm_start_hits: u64,
-    /// Phase-1 pivots those warm starts avoided (lower-bound estimate).
-    pub phase1_pivots_saved: u64,
-    /// Requests whose winning piece paid a non-zero relaxation cost.
-    pub relaxations_triggered: u64,
-    /// Requests that returned an [`crate::estimator::EstimateError`].
-    pub estimate_failures: u64,
-    /// Estimates served at [`EstimateQuality::Full`].
-    pub quality_full: u64,
-    /// Estimates degraded to [`EstimateQuality::Region`].
-    pub quality_region: u64,
-    /// Estimates degraded to [`EstimateQuality::Centroid`].
-    pub quality_centroid: u64,
-    /// Estimates served at [`EstimateQuality::Predicted`] — answered from
-    /// a session's motion model because the request's own readings were
-    /// unusable.
-    pub quality_predicted: u64,
-    /// Requests that hit [`FailureCause::InsufficientJudgements`]
-    /// (degraded or failed).
-    pub cause_insufficient_judgements: u64,
-    /// Requests that hit [`FailureCause::LpInfeasible`].
-    pub cause_lp_infeasible: u64,
-    /// Requests that hit [`FailureCause::LpNumerical`].
-    pub cause_lp_numerical: u64,
-    /// Requests that hit [`FailureCause::InvalidInput`].
-    pub cause_invalid_input: u64,
-    /// Individual readings rejected at the `localize` input boundary
-    /// (non-finite PDP or site position).
-    pub invalid_readings: u64,
-    /// Batches dispatched through the batch entry points (in-process
-    /// `localize_batch`/`process_batch` calls and serving micro-batches).
-    pub batches_dispatched: u64,
-    /// Serving micro-batches whose requests all named the same venue —
-    /// the batcher shards by venue, so under multi-venue traffic this
-    /// should equal the total and `batches_mixed` should stay zero.
-    pub batches_homogeneous: u64,
-    /// Serving micro-batches that mixed requests from different venues
-    /// (a venue-sharding bug if ever non-zero).
-    pub batches_mixed: u64,
-    /// Requests rejected by admission control (serving queue full).
-    pub queue_rejected: u64,
-    /// Requests dropped because they aged past their deadline before
-    /// being solved.
-    pub deadline_missed: u64,
-    /// High-water mark of the serving admission queue depth.
-    pub queue_depth_peak: u64,
-    /// Admissions that found their dispatch-shard lock held and had to
-    /// block for it (sharded batching plane; always 0 on the single-queue
-    /// layout, where every admission takes the one global lock).
-    pub enqueue_contention: u64,
-    /// Micro-batches a batcher pulled from a *sibling* shard because its
-    /// own shard ran dry (work stealing in the sharded batching plane).
-    pub queue_steals: u64,
-    /// High-water mark of any single dispatch shard's queue depth
-    /// (sharded batching plane; 0 on the single-queue layout).
-    pub shard_depth_peak: u64,
-    /// Reply-frame bytes encoded by the serving layer.
-    pub reply_bytes_encoded: u64,
-    /// Reply-frame bytes encoded into a pooled (reused) buffer rather than
-    /// a fresh allocation.
-    pub reply_bytes_pooled: u64,
-    /// Encode-buffer pool checkouts that reused an existing backing store.
-    pub pool_hits: u64,
-    /// Encode-buffer pool checkouts that had to allocate (pool empty).
-    pub pool_misses: u64,
+/// The invocation names a plain struct and lists its counters by name
+/// (each with its doc comment). It emits:
+///
+/// * the plain struct, with one `pub name: u64` field per counter,
+///   followed by any members listed in an optional `extra { … }` section,
+///   which are passed through unchanged;
+/// * `LEN`, the number of counters, and the ordered views
+///   `values() -> [u64; LEN]` and `values_mut() -> [&mut u64; LEN]`, in
+///   declaration order — the wire codec walks these;
+/// * optionally, an `atomic struct` twin: the same counters as
+///   [`AtomicU64`](std::sync::atomic::AtomicU64)s (plus its own
+///   pass-through members), with `load()`, which copies every counter out
+///   into the plain struct (its extras take their `Default`), and
+///   `reset()`, which zeroes every counter. Recording stays one relaxed
+///   atomic operation on the named field.
+///
+/// Adding a counter is one line in the list; snapshot, reset, encode and
+/// decode follow from it.
+///
+/// ```
+/// use std::sync::atomic::Ordering;
+///
+/// nomloc_core::counter_set! {
+///     /// Plain totals.
+///     #[derive(Debug, Default, PartialEq, Eq)]
+///     pub struct Totals {
+///         /// Requests seen.
+///         requests,
+///         /// Requests that failed.
+///         failures,
+///     }
+///     extra {
+///         /// Not a counter: passed through, never in the views.
+///         pub label: String,
+///     }
+///     /// Live counters.
+///     #[derive(Debug, Default)]
+///     atomic pub struct LiveTotals {}
+/// }
+///
+/// let live = LiveTotals::default();
+/// live.requests.fetch_add(3, Ordering::Relaxed);
+/// live.failures.fetch_add(1, Ordering::Relaxed);
+/// let mut totals = live.load();
+/// assert_eq!(totals.values(), [3, 1]);
+/// *totals.values_mut()[1] = 0;
+/// assert_eq!(totals.failures, 0);
+/// assert_eq!(Totals::LEN, 2);
+/// live.reset();
+/// assert_eq!(live.load(), Totals::default());
+/// ```
+#[macro_export]
+macro_rules! counter_set {
+    (@plain [$($meta:tt)*] $vis:vis struct $plain:ident {
+        $( $(#[$fmeta:meta])* $field:ident ),* $(,)?
+    } [$( {
+        $( $(#[$xmeta:meta])* $xvis:vis $xfield:ident : $xty:ty ),* $(,)?
+    } )?]) => {
+        $($meta)*
+        $vis struct $plain {
+            $( $(#[$fmeta])* pub $field: u64, )*
+            $($( $(#[$xmeta])* $xvis $xfield: $xty, )*)?
+        }
+
+        impl $plain {
+            /// Number of counters in the set.
+            pub const LEN: usize = [$(stringify!($field)),*].len();
+
+            /// Every counter by value, in declaration order.
+            pub fn values(&self) -> [u64; Self::LEN] {
+                [$(self.$field),*]
+            }
+
+            /// Every counter by mutable reference, in declaration order.
+            pub fn values_mut(&mut self) -> [&mut u64; Self::LEN] {
+                [$(&mut self.$field),*]
+            }
+        }
+    };
+    (@atomic $plain:ident {
+        $( $(#[$fmeta:meta])* $field:ident ),* $(,)?
+    } [$($meta:tt)*] $vis:vis struct $atomic:ident {
+        $( $(#[$xmeta:meta])* $xvis:vis $xfield:ident : $xty:ty ),* $(,)?
+    }) => {
+        $($meta)*
+        $vis struct $atomic {
+            $( $(#[$fmeta])* pub $field: ::std::sync::atomic::AtomicU64, )*
+            $( $(#[$xmeta])* $xvis $xfield: $xty, )*
+        }
+
+        impl $atomic {
+            /// Copies every counter out (relaxed loads).
+            #[allow(clippy::needless_update)]
+            pub fn load(&self) -> $plain {
+                $plain {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
+                    ..::std::default::Default::default()
+                }
+            }
+
+            /// Zeroes every counter (relaxed stores).
+            pub fn reset(&self) {
+                $( self.$field.store(0, ::std::sync::atomic::Ordering::Relaxed); )*
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $plain:ident $fields:tt
+        $(extra $extra:tt)?
+        $(
+            $(#[$ameta:meta])*
+            atomic $avis:vis struct $atomic:ident $aextra:tt
+        )?
+    ) => {
+        $crate::counter_set!(@plain [$(#[$meta])*] $vis struct $plain $fields [$($extra)?]);
+        $(
+            $crate::counter_set!(
+                @atomic $plain $fields [$(#[$ameta])*] $avis struct $atomic $aextra
+            );
+        )?
+    };
+}
+
+counter_set! {
+    /// Deterministic counter totals of a [`StatsSnapshot`].
+    ///
+    /// For a fixed request stream these are identical whether the server ran
+    /// serially or across `localize_batch` workers — the counters are pure
+    /// sums of per-request quantities.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CounterTotals {
+        /// Localization requests served (one per `localize`/`process` call).
+        requests,
+        /// Raw CSI reports offered to PDP extraction.
+        reports_in,
+        /// PDP readings that survived extraction.
+        readings_extracted,
+        /// Pairwise proximity judgements formed.
+        judgements_formed,
+        /// Half-plane constraints assembled (judgement + boundary).
+        constraints_generated,
+        /// Simplex pivot iterations across every relaxation and center LP.
+        simplex_iterations,
+        /// Center LPs that reused the relaxation witness as a warm start and
+        /// skipped simplex Phase-1 (one candidate per venue piece per request).
+        warm_start_hits,
+        /// Phase-1 pivots those warm starts avoided (lower-bound estimate).
+        phase1_pivots_saved,
+        /// Requests whose winning piece paid a non-zero relaxation cost.
+        relaxations_triggered,
+        /// Requests that returned an [`crate::estimator::EstimateError`].
+        estimate_failures,
+        /// Estimates served at [`EstimateQuality::Full`].
+        quality_full,
+        /// Estimates degraded to [`EstimateQuality::Region`].
+        quality_region,
+        /// Estimates degraded to [`EstimateQuality::Centroid`].
+        quality_centroid,
+        /// Estimates served at [`EstimateQuality::Predicted`] — answered from
+        /// a session's motion model because the request's own readings were
+        /// unusable.
+        quality_predicted,
+        /// Requests that hit [`FailureCause::InsufficientJudgements`]
+        /// (degraded or failed).
+        cause_insufficient_judgements,
+        /// Requests that hit [`FailureCause::LpInfeasible`].
+        cause_lp_infeasible,
+        /// Requests that hit [`FailureCause::LpNumerical`].
+        cause_lp_numerical,
+        /// Requests that hit [`FailureCause::InvalidInput`].
+        cause_invalid_input,
+        /// Individual readings rejected at the `localize` input boundary
+        /// (non-finite PDP or site position).
+        invalid_readings,
+        /// Batches dispatched through the batch entry points (in-process
+        /// `localize_batch`/`process_batch` calls and serving micro-batches).
+        batches_dispatched,
+        /// Serving micro-batches whose requests all named the same venue —
+        /// the batcher shards by venue, so under multi-venue traffic this
+        /// should equal the total and `batches_mixed` should stay zero.
+        batches_homogeneous,
+        /// Serving micro-batches that mixed requests from different venues
+        /// (a venue-sharding bug if ever non-zero).
+        batches_mixed,
+        /// Requests rejected by admission control (serving queue full).
+        queue_rejected,
+        /// Requests dropped because they aged past their deadline before
+        /// being solved.
+        deadline_missed,
+        /// High-water mark of the serving admission queue depth.
+        queue_depth_peak,
+        /// Admissions that found their dispatch-shard lock held and had to
+        /// block for it (sharded batching plane).
+        enqueue_contention,
+        /// Micro-batches a batcher pulled from a *sibling* shard because its
+        /// own shard ran dry (work stealing in the sharded batching plane).
+        queue_steals,
+        /// High-water mark of any single dispatch shard's queue depth
+        /// (sharded batching plane).
+        shard_depth_peak,
+        /// Reply-frame bytes encoded by the serving layer.
+        reply_bytes_encoded,
+        /// Reply-frame bytes encoded into a pooled (reused) buffer rather than
+        /// a fresh allocation.
+        reply_bytes_pooled,
+        /// Encode-buffer pool checkouts that reused an existing backing store.
+        pool_hits,
+        /// Encode-buffer pool checkouts that had to allocate (pool empty).
+        pool_misses,
+    }
+
+    /// The atomic twin of [`CounterTotals`] that [`PipelineStats`] records
+    /// into: one relaxed `fetch_add` (or `fetch_max`) per counter.
+    #[derive(Debug, Default)]
+    atomic struct Counters {}
 }
 
 /// Plain-data copy of a [`PipelineStats`], taken by
@@ -420,38 +557,7 @@ impl fmt::Display for StatsSnapshot {
 /// Shared by reference across batch workers; all methods take `&self`.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
-    requests: AtomicU64,
-    reports_in: AtomicU64,
-    readings_extracted: AtomicU64,
-    judgements_formed: AtomicU64,
-    constraints_generated: AtomicU64,
-    simplex_iterations: AtomicU64,
-    warm_start_hits: AtomicU64,
-    phase1_pivots_saved: AtomicU64,
-    relaxations_triggered: AtomicU64,
-    estimate_failures: AtomicU64,
-    quality_full: AtomicU64,
-    quality_region: AtomicU64,
-    quality_centroid: AtomicU64,
-    quality_predicted: AtomicU64,
-    cause_insufficient_judgements: AtomicU64,
-    cause_lp_infeasible: AtomicU64,
-    cause_lp_numerical: AtomicU64,
-    cause_invalid_input: AtomicU64,
-    invalid_readings: AtomicU64,
-    batches_dispatched: AtomicU64,
-    batches_homogeneous: AtomicU64,
-    batches_mixed: AtomicU64,
-    queue_rejected: AtomicU64,
-    deadline_missed: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    enqueue_contention: AtomicU64,
-    queue_steals: AtomicU64,
-    shard_depth_peak: AtomicU64,
-    reply_bytes_encoded: AtomicU64,
-    reply_bytes_pooled: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
+    counters: Counters,
     extract_latency: LatencyHistogram,
     judge_latency: LatencyHistogram,
     solve_latency: LatencyHistogram,
@@ -467,15 +573,19 @@ impl PipelineStats {
     /// Records one PDP-extraction stage: `reports` offered, `readings`
     /// kept.
     pub fn record_extract(&self, reports: u64, readings: u64, elapsed: Duration) {
-        self.reports_in.fetch_add(reports, Ordering::Relaxed);
-        self.readings_extracted
+        self.counters
+            .reports_in
+            .fetch_add(reports, Ordering::Relaxed);
+        self.counters
+            .readings_extracted
             .fetch_add(readings, Ordering::Relaxed);
         self.extract_latency.record(elapsed);
     }
 
     /// Records one judgement-formation stage producing `judgements`.
     pub fn record_judge(&self, judgements: u64, elapsed: Duration) {
-        self.judgements_formed
+        self.counters
+            .judgements_formed
             .fetch_add(judgements, Ordering::Relaxed);
         self.judge_latency.record(elapsed);
     }
@@ -495,23 +605,29 @@ impl PipelineStats {
         quality: EstimateQuality,
         elapsed: Duration,
     ) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.constraints_generated
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .constraints_generated
             .fetch_add(constraints, Ordering::Relaxed);
-        self.simplex_iterations
+        self.counters
+            .simplex_iterations
             .fetch_add(simplex_iterations, Ordering::Relaxed);
-        self.warm_start_hits
+        self.counters
+            .warm_start_hits
             .fetch_add(warm_start_hits, Ordering::Relaxed);
-        self.phase1_pivots_saved
+        self.counters
+            .phase1_pivots_saved
             .fetch_add(phase1_pivots_saved, Ordering::Relaxed);
         if relaxed {
-            self.relaxations_triggered.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .relaxations_triggered
+                .fetch_add(1, Ordering::Relaxed);
         }
         let tier = match quality {
-            EstimateQuality::Full => &self.quality_full,
-            EstimateQuality::Region => &self.quality_region,
-            EstimateQuality::Centroid => &self.quality_centroid,
-            EstimateQuality::Predicted => &self.quality_predicted,
+            EstimateQuality::Full => &self.counters.quality_full,
+            EstimateQuality::Region => &self.counters.quality_region,
+            EstimateQuality::Centroid => &self.counters.quality_centroid,
+            EstimateQuality::Predicted => &self.counters.quality_predicted,
         };
         tier.fetch_add(1, Ordering::Relaxed);
         self.solve_latency.record(elapsed);
@@ -521,8 +637,10 @@ impl PipelineStats {
     /// ([`EstimateQuality::Predicted`]) — the estimator never ran, so
     /// only the request and tier counters move.
     pub fn record_predicted(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.quality_predicted.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .quality_predicted
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reclassifies one already-recorded centroid-tier solve as
@@ -531,14 +649,20 @@ impl PipelineStats {
     /// produced (and counted). The request counter is untouched — the
     /// solve happened, only the served tier changed.
     pub fn promote_centroid_to_predicted(&self) {
-        self.quality_centroid.fetch_sub(1, Ordering::Relaxed);
-        self.quality_predicted.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .quality_centroid
+            .fetch_sub(1, Ordering::Relaxed);
+        self.counters
+            .quality_predicted
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one estimator call that returned an error, by cause.
     pub fn record_failure(&self, cause: FailureCause, elapsed: Duration) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.estimate_failures.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .estimate_failures
+            .fetch_add(1, Ordering::Relaxed);
         self.record_cause(cause);
         self.solve_latency.record(elapsed);
     }
@@ -548,22 +672,26 @@ impl PipelineStats {
     /// why quality was lost even when an estimate was still served.
     pub fn record_cause(&self, cause: FailureCause) {
         let counter = match cause {
-            FailureCause::InsufficientJudgements => &self.cause_insufficient_judgements,
-            FailureCause::LpInfeasible => &self.cause_lp_infeasible,
-            FailureCause::LpNumerical => &self.cause_lp_numerical,
-            FailureCause::InvalidInput => &self.cause_invalid_input,
+            FailureCause::InsufficientJudgements => &self.counters.cause_insufficient_judgements,
+            FailureCause::LpInfeasible => &self.counters.cause_lp_infeasible,
+            FailureCause::LpNumerical => &self.counters.cause_lp_numerical,
+            FailureCause::InvalidInput => &self.counters.cause_invalid_input,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts `n` readings rejected at the `localize` input boundary.
     pub fn record_invalid_readings(&self, n: u64) {
-        self.invalid_readings.fetch_add(n, Ordering::Relaxed);
+        self.counters
+            .invalid_readings
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one dispatched batch of `size` requests.
     pub fn record_batch(&self, size: u64) {
-        self.batches_dispatched.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .batches_dispatched
+            .fetch_add(1, Ordering::Relaxed);
         self.batch_sizes.record(size);
     }
 
@@ -573,42 +701,52 @@ impl PipelineStats {
     /// can assert micro-batches never mix venues.
     pub fn record_batch_composition(&self, distinct_venues: u64) {
         if distinct_venues > 1 {
-            self.batches_mixed.fetch_add(1, Ordering::Relaxed);
+            self.counters.batches_mixed.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.batches_homogeneous.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .batches_homogeneous
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Records one request rejected by admission control (queue full).
     pub fn record_overload(&self) {
-        self.queue_rejected.fetch_add(1, Ordering::Relaxed);
+        self.counters.queue_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one request that aged past its deadline before solving.
     pub fn record_deadline_miss(&self) {
-        self.deadline_missed.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .deadline_missed
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Raises the admission-queue high-water mark to at least `depth`.
     pub fn note_queue_depth(&self, depth: u64) {
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        self.counters
+            .queue_depth_peak
+            .fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Records one admission that found its dispatch-shard lock held
     /// (sharded batching plane enqueue contention).
     pub fn record_enqueue_contention(&self) {
-        self.enqueue_contention.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .enqueue_contention
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one micro-batch stolen from a sibling dispatch shard.
     pub fn record_queue_steal(&self) {
-        self.queue_steals.fetch_add(1, Ordering::Relaxed);
+        self.counters.queue_steals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Raises the single-shard queue-depth high-water mark to at least
     /// `depth` (sharded batching plane).
     pub fn note_shard_depth(&self, depth: u64) {
-        self.shard_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        self.counters
+            .shard_depth_peak
+            .fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Records one reply-frame encode of `bytes` into a pool checkout that
@@ -618,54 +756,23 @@ impl PipelineStats {
     /// never touch these counters, so [`CounterTotals`] determinism across
     /// worker counts is unaffected.
     pub fn record_reply_encode(&self, bytes: u64, reused: bool) {
-        self.reply_bytes_encoded.fetch_add(bytes, Ordering::Relaxed);
+        self.counters
+            .reply_bytes_encoded
+            .fetch_add(bytes, Ordering::Relaxed);
         if reused {
-            self.reply_bytes_pooled.fetch_add(bytes, Ordering::Relaxed);
-            self.pool_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .reply_bytes_pooled
+                .fetch_add(bytes, Ordering::Relaxed);
+            self.counters.pool_hits.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.pool_misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.pool_misses.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Copies the current state out as plain data.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            counters: CounterTotals {
-                requests: self.requests.load(Ordering::Relaxed),
-                reports_in: self.reports_in.load(Ordering::Relaxed),
-                readings_extracted: self.readings_extracted.load(Ordering::Relaxed),
-                judgements_formed: self.judgements_formed.load(Ordering::Relaxed),
-                constraints_generated: self.constraints_generated.load(Ordering::Relaxed),
-                simplex_iterations: self.simplex_iterations.load(Ordering::Relaxed),
-                warm_start_hits: self.warm_start_hits.load(Ordering::Relaxed),
-                phase1_pivots_saved: self.phase1_pivots_saved.load(Ordering::Relaxed),
-                relaxations_triggered: self.relaxations_triggered.load(Ordering::Relaxed),
-                estimate_failures: self.estimate_failures.load(Ordering::Relaxed),
-                quality_full: self.quality_full.load(Ordering::Relaxed),
-                quality_region: self.quality_region.load(Ordering::Relaxed),
-                quality_centroid: self.quality_centroid.load(Ordering::Relaxed),
-                quality_predicted: self.quality_predicted.load(Ordering::Relaxed),
-                cause_insufficient_judgements: self
-                    .cause_insufficient_judgements
-                    .load(Ordering::Relaxed),
-                cause_lp_infeasible: self.cause_lp_infeasible.load(Ordering::Relaxed),
-                cause_lp_numerical: self.cause_lp_numerical.load(Ordering::Relaxed),
-                cause_invalid_input: self.cause_invalid_input.load(Ordering::Relaxed),
-                invalid_readings: self.invalid_readings.load(Ordering::Relaxed),
-                batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
-                batches_homogeneous: self.batches_homogeneous.load(Ordering::Relaxed),
-                batches_mixed: self.batches_mixed.load(Ordering::Relaxed),
-                queue_rejected: self.queue_rejected.load(Ordering::Relaxed),
-                deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
-                queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-                enqueue_contention: self.enqueue_contention.load(Ordering::Relaxed),
-                queue_steals: self.queue_steals.load(Ordering::Relaxed),
-                shard_depth_peak: self.shard_depth_peak.load(Ordering::Relaxed),
-                reply_bytes_encoded: self.reply_bytes_encoded.load(Ordering::Relaxed),
-                reply_bytes_pooled: self.reply_bytes_pooled.load(Ordering::Relaxed),
-                pool_hits: self.pool_hits.load(Ordering::Relaxed),
-                pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            },
+            counters: self.counters.load(),
             extract_latency: self.extract_latency.snapshot(),
             judge_latency: self.judge_latency.snapshot(),
             solve_latency: self.solve_latency.snapshot(),
@@ -675,39 +782,7 @@ impl PipelineStats {
 
     /// Zeroes every counter and histogram.
     pub fn reset(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.reports_in.store(0, Ordering::Relaxed);
-        self.readings_extracted.store(0, Ordering::Relaxed);
-        self.judgements_formed.store(0, Ordering::Relaxed);
-        self.constraints_generated.store(0, Ordering::Relaxed);
-        self.simplex_iterations.store(0, Ordering::Relaxed);
-        self.warm_start_hits.store(0, Ordering::Relaxed);
-        self.phase1_pivots_saved.store(0, Ordering::Relaxed);
-        self.relaxations_triggered.store(0, Ordering::Relaxed);
-        self.estimate_failures.store(0, Ordering::Relaxed);
-        self.quality_full.store(0, Ordering::Relaxed);
-        self.quality_region.store(0, Ordering::Relaxed);
-        self.quality_centroid.store(0, Ordering::Relaxed);
-        self.quality_predicted.store(0, Ordering::Relaxed);
-        self.cause_insufficient_judgements
-            .store(0, Ordering::Relaxed);
-        self.cause_lp_infeasible.store(0, Ordering::Relaxed);
-        self.cause_lp_numerical.store(0, Ordering::Relaxed);
-        self.cause_invalid_input.store(0, Ordering::Relaxed);
-        self.invalid_readings.store(0, Ordering::Relaxed);
-        self.batches_dispatched.store(0, Ordering::Relaxed);
-        self.batches_homogeneous.store(0, Ordering::Relaxed);
-        self.batches_mixed.store(0, Ordering::Relaxed);
-        self.queue_rejected.store(0, Ordering::Relaxed);
-        self.deadline_missed.store(0, Ordering::Relaxed);
-        self.queue_depth_peak.store(0, Ordering::Relaxed);
-        self.enqueue_contention.store(0, Ordering::Relaxed);
-        self.queue_steals.store(0, Ordering::Relaxed);
-        self.shard_depth_peak.store(0, Ordering::Relaxed);
-        self.reply_bytes_encoded.store(0, Ordering::Relaxed);
-        self.reply_bytes_pooled.store(0, Ordering::Relaxed);
-        self.pool_hits.store(0, Ordering::Relaxed);
-        self.pool_misses.store(0, Ordering::Relaxed);
+        self.counters.reset();
         self.extract_latency.reset();
         self.judge_latency.reset();
         self.solve_latency.reset();

@@ -581,8 +581,8 @@ impl BatchFftPlan {
 
     /// In-place inverse DFT of every lane, including the `1/N`
     /// normalization (the same per-component multiply as
-    /// [`FftPlan::inverse`], fused into the final pass's stores — see
-    /// [`Self::kernel`]).
+    /// [`FftPlan::inverse`], fused into the final pass's stores of the
+    /// batched kernel).
     pub fn inverse(&self, buf: &mut SoaComplex, lanes: usize) {
         let scale = 1.0 / self.plan.len() as f64;
         self.run(buf, lanes, true, Some(scale), false);

@@ -13,14 +13,14 @@
 //!                      park/unpark wakeups                by owning loop
 //! ```
 //!
-//! * **Socket layer** ([`event`]): `event_loops` readiness-driven threads
-//!   (see [`crate::poll`]) each own nonblocking connections, parse frames
-//!   incrementally with [`crate::wire::StreamDecoder`], and flush bounded
+//! * **Socket layer** (the `event` module): `event_loops` readiness-driven
+//!   threads (see [`crate::poll`]) each own nonblocking connections, parse
+//!   frames incrementally with [`crate::wire::StreamDecoder`], and flush bounded
 //!   per-connection write buffers. A protocol violation (bad magic, CRC,
 //!   version…) answers with a `Malformed` reply for request id 0 and
 //!   closes the connection.
 //! * **Cross-connection micro-batching**: loops push decoded requests
-//!   into the dispatch plane (see [`dispatch`]) — `QUEUE_SHARDS` (8)
+//!   into the dispatch plane (the `dispatch` module) — `QUEUE_SHARDS` (8)
 //!   venue-affine shard queues; `batchers` threads pop venue-homogeneous
 //!   batches of up to `max_batch` requests. Batching is work-conserving:
 //!   a batcher takes whatever its venue's queue holds and never waits for
@@ -205,7 +205,7 @@ struct Shared {
     sessions: Arc<SessionTable>,
     /// Reusable `Vec<u8>` backing stores for reply-frame encoding, shared
     /// by readers and batchers. Hit/miss and byte counters surface through
-    /// `PipelineStats` → `ServerHealth` (daemon-local display only).
+    /// `PipelineStats` → `ServerHealth`.
     pool: BufferPool,
 }
 

@@ -32,7 +32,7 @@
 //! resident venue 0 — the server the daemon was spawned with — is never
 //! evicted and never retired.
 
-use crate::wire::{VenueHealth, VenueSummary, WireVenue};
+use crate::wire::{VenueSummary, WireVenue};
 use nomloc_core::localizability::{self, LocalizabilityMap};
 use nomloc_core::server::LocalizationServer;
 use nomloc_core::stats::PipelineStats;
@@ -41,28 +41,43 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Per-venue serving counters. Shared (via `Arc`) by every incarnation of
-/// a venue's registry entry, so eviction and rebuild never reset them.
-#[derive(Debug, Default)]
-pub struct VenueStats {
-    /// Locate requests resolved against this venue.
-    pub requests: AtomicU64,
-    /// Estimates served at full quality.
-    pub quality_full: AtomicU64,
-    /// Estimates degraded to the site-constraints-only region.
-    pub quality_region: AtomicU64,
-    /// Estimates answered from a session's motion-model prediction.
-    pub quality_predicted: AtomicU64,
-    /// Estimates degraded to the weighted site centroid.
-    pub quality_centroid: AtomicU64,
-    /// Batch resolutions that found the cache resident.
-    pub cache_hits: AtomicU64,
-    /// Batch resolutions that rebuilt an evicted cache.
-    pub cache_rebuilds: AtomicU64,
-    /// Times the cache was evicted under the memory budget.
-    pub cache_evictions: AtomicU64,
-    /// Logical resolve-clock tick of the last use (drives LRU eviction).
-    last_used: AtomicU64,
+nomloc_core::counter_set! {
+    /// Per-venue serving counters appended to
+    /// [`ServerHealth`](crate::wire::ServerHealth) (new in v3): a plain copy
+    /// of a venue's [`VenueStats`] plus its id and residency.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct VenueHealth {
+        /// Locate requests resolved against this venue.
+        requests,
+        /// Estimates served at full quality.
+        quality_full,
+        /// Estimates degraded to the site-constraints-only region.
+        quality_region,
+        /// Estimates degraded to the weighted site centroid.
+        quality_centroid,
+        /// Estimates answered from a session's motion model (v4).
+        quality_predicted,
+        /// Batch resolutions that found the venue cache resident.
+        cache_hits,
+        /// Batch resolutions that had to rebuild an evicted cache.
+        cache_rebuilds,
+        /// Times this venue's cache was evicted under the memory budget.
+        cache_evictions,
+    }
+    extra {
+        /// Registry identifier.
+        pub venue_id: u64,
+        /// Whether the cache is resident right now.
+        pub resident: bool,
+    }
+
+    /// Per-venue serving counters. Shared (via `Arc`) by every incarnation
+    /// of a venue's registry entry, so eviction and rebuild never reset them.
+    #[derive(Debug, Default)]
+    atomic pub struct VenueStats {
+        /// Logical resolve-clock tick of the last use (drives LRU eviction).
+        last_used: AtomicU64,
+    }
 }
 
 impl VenueStats {
@@ -345,20 +360,10 @@ impl VenueRegistry {
         let map = Arc::clone(&self.slot.lock().unwrap());
         let mut out: Vec<VenueHealth> = map
             .values()
-            .map(|e| {
-                let s = &e.stats;
-                VenueHealth {
-                    venue_id: e.venue_id,
-                    requests: s.requests.load(Ordering::Relaxed),
-                    quality_full: s.quality_full.load(Ordering::Relaxed),
-                    quality_region: s.quality_region.load(Ordering::Relaxed),
-                    quality_predicted: s.quality_predicted.load(Ordering::Relaxed),
-                    quality_centroid: s.quality_centroid.load(Ordering::Relaxed),
-                    cache_hits: s.cache_hits.load(Ordering::Relaxed),
-                    cache_rebuilds: s.cache_rebuilds.load(Ordering::Relaxed),
-                    cache_evictions: s.cache_evictions.load(Ordering::Relaxed),
-                    resident: e.resident(),
-                }
+            .map(|e| VenueHealth {
+                venue_id: e.venue_id,
+                resident: e.resident(),
+                ..e.stats.load()
             })
             .collect();
         out.sort_by_key(|h| h.venue_id);

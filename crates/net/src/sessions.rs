@@ -3,9 +3,9 @@
 //!
 //! A v4 [`crate::wire::LocateRequest`] may carry a nonzero `session_id`.
 //! Consecutive estimates for the same (venue, session) pair flow through
-//! one [`Tracker`], and replies grow a [`WireSession`](crate::wire::
-//! WireSession) block: smoothed position, velocity, and a localizability-
-//! derived error bound. Sessions also power the `Predicted` degradation
+//! one [`Tracker`], and replies grow a [`crate::wire::WireSession`]
+//! block: smoothed position, velocity, and a localizability-derived error
+//! bound. Sessions also power the `Predicted` degradation
 //! tier — a request whose readings fail validation can be answered from
 //! the session's motion model instead of falling all the way to the
 //! venue centroid.

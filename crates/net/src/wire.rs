@@ -6,11 +6,10 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "NMLC"
-//!      4     1  protocol version (currently 3; v3 added the venue id on
-//!                                 requests, the venue admin frames, and
-//!                                 per-venue health records — older
-//!                                 decoders reject v3 frames cleanly
-//!                                 with `BadVersion`)
+//!      4     1  protocol version (currently 5; see `VERSION` for what
+//!                                 each version added — older decoders
+//!                                 reject newer frames cleanly with
+//!                                 `BadVersion`)
 //!      5     1  frame type (1 = LocateRequest, 2 = LocateResponse,
 //!                           3 = StatsRequest,  4 = StatsResponse,
 //!                           5 = VenueOnboard,  6 = VenueRetire,
@@ -39,6 +38,7 @@
 //!   malformed report in a batch never poisons its micro-batch.
 
 use crate::crc32::crc32;
+pub use crate::registry::VenueHealth;
 use nomloc_core::estimator::{EstimateError, EstimateQuality, FailureCause, LocationEstimate};
 use nomloc_core::scenario::Venue;
 use nomloc_core::server::CsiReport;
@@ -59,12 +59,14 @@ pub const MAGIC: [u8; 4] = *b"NMLC";
 /// [`LocateRequest`] (0 = stateless), an optional [`WireSession`] block
 /// (smoothed position, velocity, localizability error bound) on
 /// [`WireEstimate`], the `Predicted` quality tier (byte 3), and session
-/// counters on [`ServerHealth`]/[`VenueHealth`]. Older decoders reject v4
-/// frames with [`WireError::BadVersion`], and a v4 daemon answers a
-/// down-version request with a [`ErrorCode::UnsupportedVersion`] reply
-/// encoded at the *client's* version (see [`unsupported_version_reply`])
-/// so old structural decoders never see a CRC or framing failure.
-pub const VERSION: u8 = 4;
+/// counters on [`ServerHealth`]/[`VenueHealth`]. v5 serializes every
+/// [`ServerHealth`] scalar: the reply-pool and dispatch-plane counters
+/// follow the v4 ones. Older decoders reject newer frames with
+/// [`WireError::BadVersion`], and the daemon answers a down-version
+/// request with a [`ErrorCode::UnsupportedVersion`] reply encoded at the
+/// *client's* version (see [`unsupported_version_reply`]) so old
+/// structural decoders never see a CRC or framing failure.
+pub const VERSION: u8 = 5;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Maximum accepted payload length (guards allocation on hostile input).
@@ -589,127 +591,93 @@ pub struct VenueAdminResponse {
     pub outcome: Result<Vec<VenueSummary>, ErrorReply>,
 }
 
-/// Per-venue serving counters appended to [`ServerHealth`] (new in v3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct VenueHealth {
-    /// Registry identifier.
-    pub venue_id: u64,
-    /// Locate requests resolved against this venue.
-    pub requests: u64,
-    /// Estimates served at full quality.
-    pub quality_full: u64,
-    /// Estimates degraded to the site-constraints-only region.
-    pub quality_region: u64,
-    /// Estimates degraded to the weighted site centroid.
-    pub quality_centroid: u64,
-    /// Estimates answered from a session's motion model (v4).
-    pub quality_predicted: u64,
-    /// Batch resolutions that found the venue cache resident.
-    pub cache_hits: u64,
-    /// Batch resolutions that had to rebuild an evicted cache.
-    pub cache_rebuilds: u64,
-    /// Times this venue's cache was evicted under the memory budget.
-    pub cache_evictions: u64,
-    /// Whether the cache is resident right now.
-    pub resident: bool,
-}
-
-/// A stats/health snapshot frame: serving counters plus latency and
-/// batch-size quantiles, all `u64`, plus per-venue records (v3).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ServerHealth {
-    /// TCP connections accepted since start.
-    pub connections_accepted: u64,
-    /// Frames received from clients.
-    pub frames_in: u64,
-    /// Frames written to clients.
-    pub frames_out: u64,
-    /// Connections dropped for protocol violations.
-    pub protocol_errors: u64,
-    /// Requests admitted into the micro-batch queue.
-    pub requests_enqueued: u64,
-    /// Requests rejected with `Overloaded` (queue full).
-    pub rejected_overload: u64,
-    /// Requests expired past their deadline before solving.
-    pub deadline_missed: u64,
-    /// Micro-batches formed.
-    pub batches_formed: u64,
-    /// High-water mark of the admission queue depth.
-    pub queue_depth_peak: u64,
-    /// Batch-size p50 upper bound (requests).
-    pub batch_size_p50: u64,
-    /// Batch-size max upper bound (requests).
-    pub batch_size_max: u64,
-    /// Requests answered with an estimate.
-    pub requests_ok: u64,
-    /// Requests answered with `EstimateFailed`.
-    pub requests_failed: u64,
-    /// Solve-stage latency p50 upper bound, ns.
-    pub solve_p50_ns: u64,
-    /// Solve-stage latency p95 upper bound, ns.
-    pub solve_p95_ns: u64,
-    /// Solve-stage latency p99 upper bound, ns.
-    pub solve_p99_ns: u64,
-    /// Requests answered with `Internal` after an isolated batch panic.
-    pub requests_internal: u64,
-    /// Micro-batches whose processing panicked (isolated, then bisected).
-    pub batch_panics: u64,
-    /// Dead batcher threads detected and respawned by the watchdog.
-    pub batchers_respawned: u64,
-    /// Estimates served at full quality.
-    pub quality_full: u64,
-    /// Estimates degraded to the site-constraints-only region.
-    pub quality_region: u64,
-    /// Estimates degraded to the weighted site centroid.
-    pub quality_centroid: u64,
-    /// Estimates answered from a session's motion model
-    /// ([`EstimateQuality::Predicted`]; new in v4).
-    pub quality_predicted: u64,
-    /// Tracking sessions currently live in the session table (v4).
-    pub sessions_active: u64,
-    /// Tracking sessions created since start (v4).
-    pub sessions_created: u64,
-    /// Tracking sessions evicted by the TTL sweeper (v4).
-    pub sessions_evicted: u64,
-    /// Estimates the session trackers rejected at the input guard
-    /// (non-finite position or invalid time step; v4).
-    pub tracker_rejections: u64,
-    /// Reply-frame bytes encoded by the daemon.
-    ///
-    /// Daemon-local display only: this field and the three below are **not
-    /// serialized** in `StatsResponse` frames (the wire image is unchanged,
-    /// no version bump) and decode as zero.
-    pub reply_bytes_encoded: u64,
-    /// Reply-frame bytes encoded into a pooled (reused) buffer. Daemon-local
-    /// display only; not serialized.
-    pub reply_bytes_pooled: u64,
-    /// Encode-buffer pool checkouts that reused a backing store.
-    /// Daemon-local display only; not serialized.
-    pub pool_hits: u64,
-    /// Encode-buffer pool checkouts that allocated fresh. Daemon-local
-    /// display only; not serialized.
-    pub pool_misses: u64,
-    /// Connections evicted because their bounded outbound write buffer
-    /// overflowed (a slow reader).
-    /// Daemon-local display only; not serialized.
-    pub slow_readers_evicted: u64,
-    /// Admissions that found their dispatch-shard lock held (sharded
-    /// batching plane). Daemon-local display only; not serialized.
-    pub enqueue_contention: u64,
-    /// Micro-batches stolen from a sibling dispatch shard (work stealing
-    /// in the sharded batching plane). Daemon-local display only; not
-    /// serialized.
-    pub queue_steals: u64,
-    /// High-water mark of any single dispatch shard's queue depth
-    /// (sharded batching plane). Daemon-local display only; not
-    /// serialized.
-    pub shard_depth_peak: u64,
-    /// Dispatch shards of the daemon's plane. Daemon-local display only;
-    /// not serialized.
-    pub queue_shards: u64,
-    /// Per-venue serving counters, one record per onboarded venue
-    /// (serialized after the scalar fields; new in v3).
-    pub venues: Vec<VenueHealth>,
+nomloc_core::counter_set! {
+    /// A stats/health snapshot frame: serving counters plus latency and
+    /// batch-size quantiles, all `u64` and serialized in declaration order
+    /// (every one since v5), plus per-venue records (v3).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct ServerHealth {
+        /// TCP connections accepted since start.
+        connections_accepted,
+        /// Frames received from clients.
+        frames_in,
+        /// Frames written to clients.
+        frames_out,
+        /// Connections dropped for protocol violations.
+        protocol_errors,
+        /// Requests admitted into the micro-batch queue.
+        requests_enqueued,
+        /// Requests rejected with `Overloaded` (queue full).
+        rejected_overload,
+        /// Requests expired past their deadline before solving.
+        deadline_missed,
+        /// Micro-batches formed.
+        batches_formed,
+        /// High-water mark of the admission queue depth.
+        queue_depth_peak,
+        /// Batch-size p50 upper bound (requests).
+        batch_size_p50,
+        /// Batch-size max upper bound (requests).
+        batch_size_max,
+        /// Requests answered with an estimate.
+        requests_ok,
+        /// Requests answered with `EstimateFailed`.
+        requests_failed,
+        /// Solve-stage latency p50 upper bound, ns.
+        solve_p50_ns,
+        /// Solve-stage latency p95 upper bound, ns.
+        solve_p95_ns,
+        /// Solve-stage latency p99 upper bound, ns.
+        solve_p99_ns,
+        /// Requests answered with `Internal` after an isolated batch panic.
+        requests_internal,
+        /// Micro-batches whose processing panicked (isolated, then bisected).
+        batch_panics,
+        /// Dead batcher threads detected and respawned by the watchdog.
+        batchers_respawned,
+        /// Estimates served at full quality.
+        quality_full,
+        /// Estimates degraded to the site-constraints-only region.
+        quality_region,
+        /// Estimates degraded to the weighted site centroid.
+        quality_centroid,
+        /// Estimates answered from a session's motion model
+        /// ([`EstimateQuality::Predicted`]; new in v4).
+        quality_predicted,
+        /// Tracking sessions currently live in the session table (v4).
+        sessions_active,
+        /// Tracking sessions created since start (v4).
+        sessions_created,
+        /// Tracking sessions evicted by the TTL sweeper (v4).
+        sessions_evicted,
+        /// Estimates the session trackers rejected at the input guard
+        /// (non-finite position or invalid time step; v4).
+        tracker_rejections,
+        /// Reply-frame bytes encoded by the daemon (v5).
+        reply_bytes_encoded,
+        /// Reply-frame bytes encoded into a pooled (reused) buffer (v5).
+        reply_bytes_pooled,
+        /// Encode-buffer pool checkouts that reused a backing store (v5).
+        pool_hits,
+        /// Encode-buffer pool checkouts that allocated fresh (v5).
+        pool_misses,
+        /// Connections evicted because their bounded outbound write buffer
+        /// overflowed (a slow reader; v5).
+        slow_readers_evicted,
+        /// Admissions that found their dispatch-shard lock held (v5).
+        enqueue_contention,
+        /// Micro-batches stolen from a sibling dispatch shard (v5).
+        queue_steals,
+        /// High-water mark of any single dispatch shard's queue depth (v5).
+        shard_depth_peak,
+        /// Dispatch shards of the daemon's plane (v5).
+        queue_shards,
+    }
+    extra {
+        /// Per-venue serving counters, one record per onboarded venue
+        /// (serialized after the scalar fields; new in v3).
+        pub venues: Vec<VenueHealth>,
+    }
 }
 
 impl fmt::Display for ServerHealth {
@@ -1219,45 +1187,35 @@ fn decode_locate_response(c: &mut Cursor<'_>) -> Result<LocateResponse, WireErro
 }
 
 fn encode_health(h: &ServerHealth, out: &mut Vec<u8>) {
-    for v in health_fields(h) {
+    for v in h.values() {
         put_u64(out, v);
     }
     put_u32(out, h.venues.len() as u32);
     for v in &h.venues {
         put_u64(out, v.venue_id);
-        put_u64(out, v.requests);
-        put_u64(out, v.quality_full);
-        put_u64(out, v.quality_region);
-        put_u64(out, v.quality_centroid);
-        put_u64(out, v.quality_predicted);
-        put_u64(out, v.cache_hits);
-        put_u64(out, v.cache_rebuilds);
-        put_u64(out, v.cache_evictions);
+        for n in v.values() {
+            put_u64(out, n);
+        }
         out.push(u8::from(v.resident));
     }
 }
 
 fn decode_health(c: &mut Cursor<'_>) -> Result<ServerHealth, WireError> {
     let mut h = ServerHealth::default();
-    for slot in health_fields_mut(&mut h) {
+    for slot in h.values_mut() {
         *slot = c.u64()?;
     }
-    // Nine u64 counters plus the resident flag per record.
-    let n = c.len(73)?;
+    // The venue id and counters, all u64, plus the resident flag per record.
+    let n = c.len(8 * (VenueHealth::LEN + 1) + 1)?;
     h.venues.reserve(n);
     for _ in 0..n {
         let mut v = VenueHealth {
             venue_id: c.u64()?,
-            requests: c.u64()?,
-            quality_full: c.u64()?,
-            quality_region: c.u64()?,
-            quality_centroid: c.u64()?,
-            quality_predicted: c.u64()?,
-            cache_hits: c.u64()?,
-            cache_rebuilds: c.u64()?,
-            cache_evictions: c.u64()?,
-            resident: false,
+            ..VenueHealth::default()
         };
+        for slot in v.values_mut() {
+            *slot = c.u64()?;
+        }
         v.resident = match c.u8()? {
             0 => false,
             1 => true,
@@ -1266,70 +1224,6 @@ fn decode_health(c: &mut Cursor<'_>) -> Result<ServerHealth, WireError> {
         h.venues.push(v);
     }
     Ok(h)
-}
-
-fn health_fields(h: &ServerHealth) -> [u64; 27] {
-    [
-        h.connections_accepted,
-        h.frames_in,
-        h.frames_out,
-        h.protocol_errors,
-        h.requests_enqueued,
-        h.rejected_overload,
-        h.deadline_missed,
-        h.batches_formed,
-        h.queue_depth_peak,
-        h.batch_size_p50,
-        h.batch_size_max,
-        h.requests_ok,
-        h.requests_failed,
-        h.solve_p50_ns,
-        h.solve_p95_ns,
-        h.solve_p99_ns,
-        h.requests_internal,
-        h.batch_panics,
-        h.batchers_respawned,
-        h.quality_full,
-        h.quality_region,
-        h.quality_centroid,
-        h.quality_predicted,
-        h.sessions_active,
-        h.sessions_created,
-        h.sessions_evicted,
-        h.tracker_rejections,
-    ]
-}
-
-fn health_fields_mut(h: &mut ServerHealth) -> [&mut u64; 27] {
-    [
-        &mut h.connections_accepted,
-        &mut h.frames_in,
-        &mut h.frames_out,
-        &mut h.protocol_errors,
-        &mut h.requests_enqueued,
-        &mut h.rejected_overload,
-        &mut h.deadline_missed,
-        &mut h.batches_formed,
-        &mut h.queue_depth_peak,
-        &mut h.batch_size_p50,
-        &mut h.batch_size_max,
-        &mut h.requests_ok,
-        &mut h.requests_failed,
-        &mut h.solve_p50_ns,
-        &mut h.solve_p95_ns,
-        &mut h.solve_p99_ns,
-        &mut h.requests_internal,
-        &mut h.batch_panics,
-        &mut h.batchers_respawned,
-        &mut h.quality_full,
-        &mut h.quality_region,
-        &mut h.quality_centroid,
-        &mut h.quality_predicted,
-        &mut h.sessions_active,
-        &mut h.sessions_created,
-        &mut h.sessions_evicted,
-        &mut h.tracker_rejections,
-    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -1382,12 +1276,11 @@ pub fn encode_frame_with_version(frame: &Frame, version: u8, out: &mut Vec<u8>) 
 /// The daemon's reply to a request whose version byte it cannot serve: a
 /// [`LocateResponse`] carrying [`ErrorCode::UnsupportedVersion`], encoded
 /// at the *client's* version when the client is older than us (so its
-/// structural decoder accepts the frame — the response layout is stable
-/// across v2/v3) and at our version otherwise.
+/// structural decoder accepts the frame — the error-response layout has
+/// not changed since v2) and at our version otherwise.
 ///
-/// Satellite guarantee: a v2-only client talking to a v3 daemon sees a
-/// clean structured error on its own wire dialect, never a CRC or framing
-/// failure.
+/// A client on any older version therefore sees a clean structured error
+/// on its own wire dialect, never a CRC or framing failure.
 pub fn unsupported_version_reply(got: u8) -> Vec<u8> {
     let reply_version = if (1..VERSION).contains(&got) {
         got
@@ -1429,10 +1322,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
 /// [`decode_frame`] with an explicit accepted version byte.
 ///
 /// Payload schemas are always the *current* version's, so this is only
-/// meaningful for version-stable frames ([`LocateResponse`],
-/// [`StatsRequest`]) — the negotiation tests use it to act as a v2-only
-/// client verifying that a v3 daemon's [`unsupported_version_reply`]
-/// decodes cleanly on the old dialect.
+/// meaningful for version-stable frames ([`LocateResponse`] errors,
+/// [`Frame::StatsRequest`]) — the negotiation tests use it to act as an
+/// older client verifying that [`unsupported_version_reply`] decodes
+/// cleanly on its own dialect.
 pub fn decode_frame_with_version(buf: &[u8], version: u8) -> Result<(Frame, usize), WireError> {
     if buf.len() < HEADER_LEN {
         return Err(WireError::Incomplete {
@@ -1778,14 +1671,14 @@ mod tests {
     }
 
     #[test]
-    fn old_decoders_reject_v4_frames_cleanly() {
-        // A v3 decoder checked `buf[4] != 3`; our v4 frames carry 4 there,
+    fn old_decoders_reject_current_frames_cleanly() {
+        // A v4 decoder checked `buf[4] != 4`; our v5 frames carry 5 there,
         // so the old check fires BadVersion before any payload is touched.
         // Symmetrically, a down-version frame presented to this decoder is
         // rejected the same way.
         let mut bytes = frame_to_vec(&Frame::StatsRequest);
-        assert_eq!(bytes[4], 4, "frames are emitted at protocol v4");
-        for old in [1u8, 2, 3] {
+        assert_eq!(bytes[4], 5, "frames are emitted at protocol v5");
+        for old in 1..VERSION {
             bytes[4] = old;
             assert!(matches!(
                 decode_frame(&bytes),
@@ -1796,28 +1689,31 @@ mod tests {
 
     #[test]
     fn down_version_requests_get_a_decodable_unsupported_version_reply() {
-        // Satellite 1: a v2-only client sends a request with version byte 2
-        // (the CRC covers only the payload, so the daemon rejects on the
-        // version byte alone) and must be able to decode the reply on its
-        // own dialect — acting the v2 client via decode_frame_with_version.
-        let mut req = frame_to_vec(&sample_request());
-        req[4] = 2;
-        let Err(WireError::BadVersion { got }) = decode_frame(&req) else {
-            panic!("v2 request must be rejected on the version byte");
-        };
-        let reply = unsupported_version_reply(got);
-        assert_eq!(reply[4], 2, "reply is stamped with the client's version");
-        let (frame, n) = decode_frame_with_version(&reply, 2).unwrap();
-        assert_eq!(n, reply.len());
-        let Frame::LocateResponse(resp) = frame else {
-            panic!("reply must be a LocateResponse, got {frame:?}");
-        };
-        assert_eq!(
-            resp.outcome.unwrap_err().code,
-            ErrorCode::UnsupportedVersion
-        );
-        // A *newer* client (hypothetical v5) gets the reply on our dialect.
-        let reply = unsupported_version_reply(5);
+        // An older client (v2 through v4) sends a request with its own
+        // version byte (the CRC covers only the payload, so the daemon
+        // rejects on the version byte alone) and must be able to decode the
+        // reply on its own dialect — acting that client via
+        // decode_frame_with_version.
+        for old in 2..VERSION {
+            let mut req = frame_to_vec(&sample_request());
+            req[4] = old;
+            let Err(WireError::BadVersion { got }) = decode_frame(&req) else {
+                panic!("v{old} request must be rejected on the version byte");
+            };
+            let reply = unsupported_version_reply(got);
+            assert_eq!(reply[4], old, "reply is stamped with the client's version");
+            let (frame, n) = decode_frame_with_version(&reply, old).unwrap();
+            assert_eq!(n, reply.len());
+            let Frame::LocateResponse(resp) = frame else {
+                panic!("reply must be a LocateResponse, got {frame:?}");
+            };
+            assert_eq!(
+                resp.outcome.unwrap_err().code,
+                ErrorCode::UnsupportedVersion
+            );
+        }
+        // A *newer* client (hypothetical v6) gets the reply on our dialect.
+        let reply = unsupported_version_reply(VERSION + 1);
         assert_eq!(reply[4], VERSION);
         assert!(decode_frame(&reply).is_ok());
     }
@@ -1958,53 +1854,29 @@ mod tests {
     }
 
     #[test]
-    fn pool_counters_are_daemon_local_not_serialized() {
-        // The payload-reuse counters must not change the wire image (no
-        // version bump): two healths differing only in those fields encode
-        // identically, and decoding zeroes them.
-        let base = ServerHealth {
-            frames_in: 7,
-            requests_ok: 5,
-            ..ServerHealth::default()
+    fn v5_health_appends_the_formerly_local_counters() {
+        // v5 keeps the 27 v4 scalars in place and appends the nine reply-pool
+        // and dispatch-plane counters after them, in declaration order; the
+        // venue-record count follows the last scalar.
+        let mut health = ServerHealth::default();
+        for (i, slot) in health.values_mut().into_iter().enumerate() {
+            *slot = i as u64 + 1;
+        }
+        assert_eq!(ServerHealth::LEN, 36);
+        let bytes = frame_to_vec(&Frame::StatsResponse(health.clone()));
+        let word = |i: usize| {
+            let at = HEADER_LEN + 8 * i;
+            u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
         };
-        let with_pool = ServerHealth {
-            reply_bytes_encoded: 1234,
-            reply_bytes_pooled: 1000,
-            pool_hits: 20,
-            pool_misses: 2,
-            ..base.clone()
-        };
+        assert_eq!(word(26), health.tracker_rejections);
+        assert_eq!(word(27), health.reply_bytes_encoded);
+        assert_eq!(word(30), health.pool_misses);
+        assert_eq!(word(35), health.queue_shards);
+        assert_eq!(bytes.len(), HEADER_LEN + 8 * 36 + 4);
         assert_eq!(
-            frame_to_vec(&Frame::StatsResponse(base.clone())),
-            frame_to_vec(&Frame::StatsResponse(with_pool.clone()))
+            decode_frame(&bytes).unwrap().0,
+            Frame::StatsResponse(health)
         );
-        let bytes = frame_to_vec(&Frame::StatsResponse(with_pool));
-        assert_eq!(decode_frame(&bytes).unwrap().0, Frame::StatsResponse(base));
-    }
-
-    #[test]
-    fn dispatch_counters_are_daemon_local_not_serialized() {
-        // Same no-version-bump discipline as the pool counters: the
-        // sharded-dispatch counters must not change the wire image, and
-        // decoding zeroes them.
-        let base = ServerHealth {
-            frames_in: 7,
-            requests_ok: 5,
-            ..ServerHealth::default()
-        };
-        let with_dispatch = ServerHealth {
-            enqueue_contention: 3,
-            queue_steals: 41,
-            shard_depth_peak: 9,
-            queue_shards: 8,
-            ..base.clone()
-        };
-        assert_eq!(
-            frame_to_vec(&Frame::StatsResponse(base.clone())),
-            frame_to_vec(&Frame::StatsResponse(with_dispatch.clone()))
-        );
-        let bytes = frame_to_vec(&Frame::StatsResponse(with_dispatch));
-        assert_eq!(decode_frame(&bytes).unwrap().0, Frame::StatsResponse(base));
     }
 
     #[test]

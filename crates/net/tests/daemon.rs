@@ -349,6 +349,11 @@ fn stats_frame_reports_health() {
     assert!(health.connections_accepted >= 1);
     assert!(health.requests_enqueued >= 1);
     assert!(health.frames_in >= 2);
+    // Every scalar travels on the wire (v5), including the dispatch-plane
+    // and reply-pool counters that older versions kept daemon-local.
+    assert_eq!(health.queue_shards, 8);
+    assert!(health.pool_hits + health.pool_misses >= 1);
+    assert!(health.reply_bytes_encoded > 0);
     handle.shutdown();
 }
 

@@ -7,7 +7,7 @@
 
 use nomloc_net::wire::{
     decode_frame, frame_to_vec, ErrorCode, ErrorReply, LocateRequest, LocateResponse, ServerHealth,
-    WireError, WireEstimate, WireReport, WireSession, WireSnapshot,
+    VenueHealth, WireError, WireEstimate, WireReport, WireSession, WireSnapshot,
 };
 use nomloc_net::Frame;
 use proptest::prelude::*;
@@ -144,36 +144,39 @@ proptest! {
         assert_roundtrip(&frame)?;
     }
 
+    /// Every scalar is filled through the generated view, so a counter
+    /// added to `ServerHealth` or `VenueHealth` is covered without touching
+    /// this test; decoding must reproduce the health exactly.
     #[test]
-    fn stats_response_roundtrip(fields in prop::collection::vec(0u64..u64::MAX, 22..23)) {
-        let frame = Frame::StatsResponse(ServerHealth {
-            connections_accepted: fields[0],
-            frames_in: fields[1],
-            frames_out: fields[2],
-            protocol_errors: fields[3],
-            requests_enqueued: fields[4],
-            rejected_overload: fields[5],
-            deadline_missed: fields[6],
-            batches_formed: fields[7],
-            queue_depth_peak: fields[8],
-            batch_size_p50: fields[9],
-            batch_size_max: fields[10],
-            requests_ok: fields[11],
-            requests_failed: fields[12],
-            solve_p50_ns: fields[13],
-            solve_p95_ns: fields[14],
-            solve_p99_ns: fields[15],
-            requests_internal: fields[16],
-            batch_panics: fields[17],
-            batchers_respawned: fields[18],
-            quality_full: fields[19],
-            quality_region: fields[20],
-            quality_centroid: fields[21],
-            // The payload-reuse counters are daemon-local display only and
-            // never serialized, so they must stay zero to round-trip.
-            ..ServerHealth::default()
-        });
+    fn stats_response_roundtrip(
+        fields in prop::collection::vec(0u64..u64::MAX, ServerHealth::LEN..ServerHealth::LEN + 1),
+        venues in prop::collection::vec(
+            (
+                0u64..u64::MAX,
+                prop::collection::vec(0u64..u64::MAX, VenueHealth::LEN..VenueHealth::LEN + 1),
+                0u8..2,
+            ),
+            0..5,
+        ),
+    ) {
+        let mut health = ServerHealth::default();
+        for (slot, v) in health.values_mut().into_iter().zip(&fields) {
+            *slot = *v;
+        }
+        for (venue_id, counters, resident) in &venues {
+            let mut v = VenueHealth {
+                venue_id: *venue_id,
+                resident: *resident == 1,
+                ..VenueHealth::default()
+            };
+            for (slot, n) in v.values_mut().into_iter().zip(counters) {
+                *slot = *n;
+            }
+            health.venues.push(v);
+        }
+        let frame = Frame::StatsResponse(health);
         assert_roundtrip(&frame)?;
+        prop_assert_eq!(decode_frame(&frame_to_vec(&frame)).unwrap().0, frame);
     }
 
     /// Any strict prefix of a valid frame decodes to `Incomplete` with an

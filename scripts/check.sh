@@ -11,6 +11,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> rustdoc: cargo doc --workspace -D warnings"
+# Broken or private intra-doc links fail here, and so does an undocumented
+# public item (every crate sets `warn(missing_docs)`), including the fields
+# that `counter_set!` generates.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 echo "==> benches compile: cargo bench --no-run"
 cargo bench --workspace --no-run --offline
 
