@@ -183,6 +183,92 @@ fn killed_batchers_are_respawned_without_losing_requests() {
     );
 }
 
+/// A plan whose `InjectPanic` class fires for request `target` and for no
+/// other id in `0..n`: the first seed whose classification draw for
+/// `target` falls below every other id's, with the panic rate set just
+/// above that draw.
+fn panic_only_plan(target: u64, n: u64) -> FaultPlan {
+    const STEPS: u32 = 4096;
+    (0..1000u64)
+        .flat_map(|seed| (1..STEPS).map(move |k| (seed, f64::from(k) / f64::from(STEPS))))
+        .map(|(seed, rate)| {
+            let mut plan = FaultPlan::disabled(seed);
+            plan.inject_panic = rate;
+            plan
+        })
+        .find(|plan| {
+            (0..n).all(|id| (plan.classify(id) == FaultClass::InjectPanic) == (id == target))
+        })
+        .expect("some seed singles out the target request")
+}
+
+/// Reads one `LocateResponse` off `stream`.
+fn read_one_reply(stream: &mut TcpStream) -> nomloc_net::wire::LocateResponse {
+    let mut buf: Vec<u8> = Vec::new();
+    let mut tmp = [0u8; 16 * 1024];
+    loop {
+        match decode_frame(&buf) {
+            Ok((Frame::LocateResponse(resp), _)) => return resp,
+            Ok((other, _)) => panic!("unexpected frame: {other:?}"),
+            Err(nomloc_net::WireError::Incomplete { .. }) => {}
+            Err(e) => panic!("malformed reply: {e}"),
+        }
+        let got = stream.read(&mut tmp).expect("read reply (daemon alive?)");
+        assert!(got > 0, "daemon closed the connection without replying");
+        buf.extend_from_slice(&tmp[..got]);
+    }
+}
+
+/// A panic in a solve run on the event loop (a lone request at an idle
+/// daemon) is contained like one on a batcher: the poison request gets
+/// `Internal`, the loop — and the connection it owns — keeps serving,
+/// and no batcher is involved, let alone respawned.
+#[test]
+fn a_panic_on_the_event_loop_is_contained() {
+    const N: u64 = 8;
+    const POISON: u64 = 3;
+    let requests = workload(N as usize);
+    let reference = baseline(&requests);
+    let handle = spawn_daemon(Some(panic_only_plan(POISON, N)), 0);
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    for (id, reports) in (0..N).zip(&requests) {
+        // Awaited one by one with a pause, so each arrives alone.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let frame = Frame::LocateRequest(LocateRequest {
+            request_id: id,
+            deadline_us: 0,
+            venue_id: 0,
+            session_id: 0,
+            reports: reports.iter().map(WireReport::from_core).collect(),
+        });
+        stream.write_all(&frame_to_vec(&frame)).expect("send");
+        let reply = read_one_reply(&mut stream);
+        assert_eq!(reply.request_id, id);
+        if id == POISON {
+            match &reply.outcome {
+                Err(e) if e.code == ErrorCode::Internal => {}
+                other => panic!("request {id}: expected Internal, got {other:?}"),
+            }
+        } else {
+            assert_eq!(
+                reply.outcome, reference[id as usize],
+                "request {id} differs from the fault-free answer"
+            );
+        }
+    }
+    let health = handle.shutdown();
+    assert_eq!(health.batch_panics, 1, "{health}");
+    assert_eq!(health.requests_internal, 1, "{health}");
+    assert_eq!(health.batchers_respawned, 0, "{health}");
+    assert_eq!(
+        health.queue_depth_peak, 0,
+        "a request reached the plane: {health}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Hostile-CSI property tests: no request payload — however malformed or
 // numerically pathological — may crash the daemon or go unanswered.

@@ -11,7 +11,8 @@ use nomloc_core::scenario::Venue;
 use nomloc_core::server::CsiReport;
 use nomloc_core::{ApSite, LocalizationServer};
 use nomloc_net::wire::{
-    decode_frame, frame_to_vec, LocateRequest, LocateResponse, WireReport, WireSnapshot,
+    decode_frame, frame_to_vec, LocateRequest, LocateResponse, WireEstimate, WireReport,
+    WireSnapshot,
 };
 use nomloc_net::{admin, spawn, DaemonConfig, ErrorCode, Frame, LoadgenConfig, WireVenue};
 use nomloc_rfsim::{Environment, RadioConfig, SubcarrierGrid};
@@ -288,6 +289,177 @@ fn backlog_batches_without_a_fill_window() {
         snap.batch_sizes
     );
     handle.shutdown();
+}
+
+/// The bit pattern of a wire estimate: stricter than `PartialEq`, which
+/// would let `-0.0 == 0.0` slide.
+fn estimate_bits(e: &WireEstimate) -> [u64; 10] {
+    [
+        e.x.to_bits(),
+        e.y.to_bits(),
+        e.relaxation_cost.to_bits(),
+        e.region_area.to_bits(),
+        e.n_constraints,
+        e.n_winning_pieces,
+        e.lp_iterations,
+        e.warm_start_hits,
+        e.phase1_pivots_saved,
+        u64::from(e.quality),
+    ]
+}
+
+/// Run to completion: a lone request at an idle daemon is solved on the
+/// event loop that read it. The dispatch plane is never touched — no
+/// queue depth, no steal — yet every request still counts as one batch,
+/// and every reply is bit-identical to the in-process server's.
+#[test]
+fn lone_requests_are_solved_on_the_loop_bit_for_bit() {
+    const N: u64 = 50;
+    let venue = Venue::lab();
+    let oracle = lab_server();
+    let handle = spawn(lab_server(), DaemonConfig::default(), "127.0.0.1:0").expect("spawn daemon");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    for id in 0..N {
+        // Each request is awaited, then the next one waits 2 ms: it
+        // arrives alone, at a plane that is empty with its batchers
+        // parked again.
+        std::thread::sleep(Duration::from_millis(2));
+        let request = LocateRequest {
+            request_id: id,
+            deadline_us: 0,
+            venue_id: 0,
+            session_id: 0,
+            reports: real_reports(&venue, id)
+                .iter()
+                .map(WireReport::from_core)
+                .collect(),
+        };
+        let expected = oracle
+            .process(&request.to_core_reports().expect("valid reports"))
+            .expect("the lab request localizes in process");
+        stream
+            .write_all(&frame_to_vec(&Frame::LocateRequest(request)))
+            .unwrap();
+        let reply = read_responses(&mut stream, 1).remove(0);
+        assert_eq!(reply.request_id, id);
+        let got = reply.outcome.expect("the daemon localizes it too");
+        assert_eq!(
+            estimate_bits(&got),
+            estimate_bits(&WireEstimate::from_core(&expected)),
+            "request {id} differs from the in-process answer"
+        );
+    }
+    let health = handle.shutdown();
+    assert_eq!(health.queue_depth_peak, 0, "a request was queued: {health}");
+    assert_eq!(health.queue_steals, 0, "{health}");
+    assert_eq!(health.batches_formed, N, "{health}");
+    assert_eq!(health.requests_enqueued, N, "{health}");
+    assert_eq!(health.requests_ok, N, "{health}");
+}
+
+/// The twin of the run-to-completion test: frames pipelined in one write
+/// are not lone, so they go through the dispatch plane and batch there,
+/// with no batcher pause holding them back.
+#[test]
+fn pipelined_frames_still_batch_through_the_plane() {
+    const N: usize = 40;
+    let handle = spawn(
+        lab_server(),
+        DaemonConfig {
+            batchers: 1,
+            ..DaemonConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("spawn daemon");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut blob = Vec::new();
+    for id in 0..N as u64 {
+        blob.extend_from_slice(&cheap_request(id, 0));
+    }
+    stream.write_all(&blob).expect("send the burst");
+    let responses = read_responses(&mut stream, N);
+    assert!(
+        responses.iter().all(|r| r.outcome.is_ok()),
+        "every request localizes: {responses:?}"
+    );
+    let health = handle.shutdown();
+    assert!(
+        health.queue_depth_peak > 0,
+        "the plane was bypassed: {health}"
+    );
+    assert!(
+        health.batches_formed < N as u64,
+        "{} batches for {N} pipelined requests: nothing was batched",
+        health.batches_formed
+    );
+}
+
+/// The write half owns the socket, so a reply for a connection that has
+/// closed can never reach a newer connection that got the same fd
+/// number. A queues a request behind a paused batcher and hangs up; B
+/// connects (the fd number A had is free for reuse in the kernel's eyes
+/// only once A's last reply is dropped) and must see exactly its own
+/// reply, none of A's.
+#[test]
+fn a_closed_connections_reply_never_reaches_its_successor() {
+    let handle = spawn(
+        lab_server(),
+        DaemonConfig {
+            batchers: 1,
+            batch_pause: Duration::from_millis(30),
+            ..DaemonConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("spawn daemon");
+
+    let mut a = TcpStream::connect(handle.local_addr()).expect("connect A");
+    a.write_all(&cheap_request(1, 0)).unwrap();
+    drop(a);
+    // Wait until the daemon admitted A's request, so it is queued behind
+    // the pause when A's connection goes away.
+    let admitted = Instant::now();
+    while handle.health().requests_enqueued < 1 {
+        assert!(
+            admitted.elapsed() < Duration::from_secs(10),
+            "A never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut b = TcpStream::connect(handle.local_addr()).expect("connect B");
+    b.write_all(&cheap_request(2, 0)).unwrap();
+    let replies = read_responses(&mut b, 1);
+    assert_eq!(replies[0].request_id, 2, "B got a foreign reply");
+    assert!(replies[0].outcome.is_ok(), "{:?}", replies[0].outcome);
+    // A's reply was produced (30 ms after it was queued) before B's; give
+    // any stray bytes time to arrive, then require silence.
+    b.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut stray = [0u8; 256];
+    match b.read(&mut stray) {
+        Ok(0) => panic!("daemon closed B"),
+        Ok(n) => panic!("B received {n} stray bytes after its own reply"),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "unexpected read error on B: {e}"
+        ),
+    }
+
+    // The daemon keeps serving, on B and on a fresh connection.
+    b.set_read_timeout(None).unwrap();
+    b.write_all(&cheap_request(3, 0)).unwrap();
+    assert_eq!(read_responses(&mut b, 1)[0].request_id, 3);
+    let mut c = TcpStream::connect(handle.local_addr()).expect("connect C");
+    c.write_all(&cheap_request(4, 0)).unwrap();
+    assert_eq!(read_responses(&mut c, 1)[0].request_id, 4);
+    let health = handle.shutdown();
+    assert_eq!(health.requests_enqueued, 4, "{health}");
 }
 
 /// A frame-level protocol violation (garbage on the socket) is answered
