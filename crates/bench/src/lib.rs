@@ -235,25 +235,46 @@ pub mod lpcmp {
     pub fn paired_min_ns(
         rounds: usize,
         iters: usize,
+        a: impl FnMut(),
+        b: impl FnMut(),
+    ) -> (f64, f64) {
+        let (best_a, best_b, _) = paired_ns(rounds, iters, a, b);
+        (best_a, best_b)
+    }
+
+    /// [`paired_min_ns`], plus the median over rounds of `a`'s pass time
+    /// over `b`'s: each such ratio compares two passes run back to back,
+    /// so a slow spell of the host lifts both of its sides, and the median
+    /// drops the rounds a stall split. Returns `(min_a_ns, min_b_ns,
+    /// median_ratio)`.
+    pub fn paired_ns(
+        rounds: usize,
+        iters: usize,
         mut a: impl FnMut(),
         mut b: impl FnMut(),
-    ) -> (f64, f64) {
+    ) -> (f64, f64, f64) {
+        let iters = iters.max(1);
         let mut best_a = f64::INFINITY;
         let mut best_b = f64::INFINITY;
+        let mut ratios = Vec::with_capacity(rounds.max(1));
         for _ in 0..rounds.max(1) {
             let t = std::time::Instant::now();
-            for _ in 0..iters.max(1) {
+            for _ in 0..iters {
                 a();
             }
-            best_a = best_a.min(t.elapsed().as_nanos() as f64 / iters.max(1) as f64);
+            let a_ns = t.elapsed().as_nanos() as f64 / iters as f64;
 
             let t = std::time::Instant::now();
-            for _ in 0..iters.max(1) {
+            for _ in 0..iters {
                 b();
             }
-            best_b = best_b.min(t.elapsed().as_nanos() as f64 / iters.max(1) as f64);
+            let b_ns = t.elapsed().as_nanos() as f64 / iters as f64;
+            best_a = best_a.min(a_ns);
+            best_b = best_b.min(b_ns);
+            ratios.push(a_ns / b_ns);
         }
-        (best_a, best_b)
+        let ratio = nomloc_dsp::stats::median_in_place(&mut ratios).expect("at least one round");
+        (best_a, best_b, ratio)
     }
 }
 
