@@ -1,8 +1,8 @@
 //! Machine-readable end-to-end serving benchmark: stage-attributed
 //! ns-per-request through the full daemon pipeline (decode → PDP →
 //! constraints → LP → encode), plus paired comparisons of the planned FFT
-//! against the retained iterative kernel, pooled against fresh encode
-//! buffers, and the zero-allocation pipeline against a faithful replica
+//! against the retained iterative kernel, a reused against a fresh encode
+//! buffer, and the zero-allocation pipeline against a faithful replica
 //! of the pre-plan allocating path. Written as `BENCH_serving.json` (in
 //! the current directory, or `$NOMLOC_BENCH_SERVING_JSON`).
 //!
@@ -23,7 +23,6 @@ use nomloc_net::wire::{
     self, ErrorCode, ErrorReply, Frame, LocateRequest, LocateResponse, WireEstimate, WireReport,
     WireVenue,
 };
-use nomloc_net::BufferPool;
 use nomloc_rfsim::CsiSnapshot;
 use std::hint::black_box;
 use std::io::BufRead;
@@ -153,7 +152,7 @@ struct DispatchScale {
 }
 
 /// Prices the admission/dispatch plane itself, per venue count, in
-/// min-of-rounds passes like [`run_venue_scales`].
+/// min-of-rounds passes.
 ///
 /// Two traffic shapes per scale:
 ///
@@ -266,121 +265,22 @@ fn run_dispatch(counts: &[usize], requests_per_pass: usize) -> Vec<DispatchScale
         .collect()
 }
 
-/// Per-request serving cost with a given number of live venues (see
-/// [`run_venue_scales`]).
-struct VenueScale {
-    live_venues: usize,
-    requests: usize,
-    ns_per_request: f64,
-    p99_ns: f64,
-    batches_homogeneous: u64,
-    batches_mixed: u64,
-}
-
-/// Spawns one in-process daemon per venue count, onboards `live - 1`
-/// extra venues on each over the TCP admin plane, then drives a
-/// zipf(1.0)-over-venues workload against the scales in *alternating*
-/// passes — min ns/request over the rounds, so slow machine drift hits
-/// every scale equally (the same discipline as `lpcmp::paired_min_ns`).
-/// Each scale reports its best pass plus the daemon's cumulative
-/// batch-composition counters (every micro-batch across every round must
-/// stay venue-homogeneous).
-///
-/// Every onboarded venue carries the *Lab* geometry, so per-request solve
-/// work is identical at every venue count — the measured delta between
-/// 1 and N live venues is purely registry-resolution and venue-sharding
-/// overhead, which is the thing this section prices.
-fn run_venue_scales(counts: &[usize], batch: &[Vec<CsiReport>]) -> Vec<VenueScale> {
-    struct LiveScale {
-        live_venues: usize,
-        handle: nomloc_net::DaemonHandle,
-        config: nomloc_net::LoadgenConfig,
-        best_ns: f64,
-        best_p99: f64,
-    }
-    let venue = Venue::lab();
-    let mut scales: Vec<LiveScale> = counts
-        .iter()
-        .map(|&live| {
-            let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
-            let config = nomloc_net::DaemonConfig::default();
-            let handle =
-                nomloc_net::spawn(server, config, "127.0.0.1:0").expect("spawn venue-scale daemon");
-            let addr = handle.local_addr();
-            let mut venues: Vec<u64> = vec![0];
-            for id in 1..live as u64 {
-                nomloc_net::admin::onboard(addr, &WireVenue::from_venue(id, &venue))
-                    .expect("onboard bench venue");
-                venues.push(id);
-            }
-            let config = nomloc_net::LoadgenConfig {
-                connections: 8,
-                venues,
-                zipf_s: 1.0,
-                zipf_seed: 7,
-                ..nomloc_net::LoadgenConfig::default()
-            };
-            LiveScale {
-                live_venues: live,
-                handle,
-                config,
-                best_ns: f64::INFINITY,
-                best_p99: f64::INFINITY,
-            }
-        })
-        .collect();
-    let venue_rounds = 5;
-    for _ in 0..venue_rounds {
-        for scale in scales.iter_mut() {
-            let report = nomloc_net::loadgen::run(scale.handle.local_addr(), &scale.config, batch)
-                .expect("venue-scale loadgen");
-            assert_eq!(
-                report.ok_count(),
-                batch.len(),
-                "venue-scale run must answer every request"
-            );
-            let ns = 1.0e9 / report.throughput_rps();
-            if ns < scale.best_ns {
-                scale.best_ns = ns;
-                scale.best_p99 = report.latency_quantile(0.99).as_nanos() as f64;
-            }
-        }
-    }
-    scales
-        .into_iter()
-        .map(|scale| {
-            let counters = scale.handle.stats_snapshot().counters;
-            assert_eq!(
-                counters.batches_mixed, 0,
-                "micro-batches must stay venue-homogeneous"
-            );
-            scale.handle.shutdown();
-            VenueScale {
-                live_venues: scale.live_venues,
-                requests: batch.len(),
-                ns_per_request: scale.best_ns,
-                p99_ns: scale.best_p99,
-                batches_homogeneous: counters.batches_homogeneous,
-                batches_mixed: counters.batches_mixed,
-            }
-        })
-        .collect()
-}
-
 /// Sessioned vs stateless serving cost (see [`run_sessions`]).
 struct SessionCost {
     requests: usize,
     stateless_ns_per_request: f64,
     sessioned_ns_per_request: f64,
-    overhead_pct: f64,
+    ratio: f64,
     smoothed_replies: usize,
 }
 
 /// Prices the session plane: the same workload driven stateless and with
-/// one session per connection, in alternating min-of-rounds passes
-/// against a single daemon. The sessioned side pays the tracker push,
-/// the localizability bound lookup, and the larger reply frame on every
-/// request — the headline number is that overhead as a percentage.
+/// one session per connection, in alternating passes against a single
+/// daemon ([`lpcmp::paired_ns`]). The sessioned side pays the tracker
+/// push, the localizability bound lookup, and the larger reply frame on
+/// every request. The headline number is the median over rounds of the
+/// sessioned pass's time over the stateless pass's in the same round,
+/// which a slow spell of the host lifts on both sides alike.
 fn run_sessions(batch: &[Vec<CsiReport>]) -> SessionCost {
     let venue = Venue::lab();
     let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
@@ -396,32 +296,36 @@ fn run_sessions(batch: &[Vec<CsiReport>]) -> SessionCost {
         sessions: true,
         ..nomloc_net::LoadgenConfig::default()
     };
-    let mut stateless_ns = f64::INFINITY;
-    let mut sessioned_ns = f64::INFINITY;
     let mut smoothed_replies = 0usize;
-    for _ in 0..5 {
-        let base = nomloc_net::loadgen::run(addr, &stateless, batch).expect("stateless pass");
-        assert_eq!(
-            base.ok_count(),
-            batch.len(),
-            "stateless pass answers everything"
-        );
-        stateless_ns = stateless_ns.min(1.0e9 / base.throughput_rps());
-        let tracked = nomloc_net::loadgen::run(addr, &sessioned, batch).expect("sessioned pass");
-        assert_eq!(
-            tracked.ok_count(),
-            batch.len(),
-            "sessioned pass answers everything"
-        );
-        sessioned_ns = sessioned_ns.min(1.0e9 / tracked.throughput_rps());
-        smoothed_replies = tracked.session_deviations().iter().map(|(_, n, _)| n).sum();
-    }
+    let (sessioned_ns, stateless_ns, ratio) = lpcmp::paired_ns(
+        rounds(150),
+        1,
+        || {
+            let tracked =
+                nomloc_net::loadgen::run(addr, &sessioned, batch).expect("sessioned pass");
+            assert_eq!(
+                tracked.ok_count(),
+                batch.len(),
+                "sessioned pass answers everything"
+            );
+            smoothed_replies = tracked.session_deviations().iter().map(|(_, n, _)| n).sum();
+        },
+        || {
+            let base = nomloc_net::loadgen::run(addr, &stateless, batch).expect("stateless pass");
+            assert_eq!(
+                base.ok_count(),
+                batch.len(),
+                "stateless pass answers everything"
+            );
+        },
+    );
     handle.shutdown();
+    let n = batch.len() as f64;
     SessionCost {
         requests: batch.len(),
-        stateless_ns_per_request: stateless_ns,
-        sessioned_ns_per_request: sessioned_ns,
-        overhead_pct: (sessioned_ns / stateless_ns - 1.0) * 100.0,
+        stateless_ns_per_request: stateless_ns / n,
+        sessioned_ns_per_request: sessioned_ns / n,
+        ratio,
         smoothed_replies,
     }
 }
@@ -552,14 +456,15 @@ fn main() {
             black_box(estimator.estimate(judgements, &area).ok());
         }
     }) / n;
-    let pool = BufferPool::new(8);
+    // Each daemon thread encodes its replies into one reused buffer.
+    let mut reply_buf = Vec::new();
+    let mut encode_reused = |frame: &Frame| {
+        reply_buf.clear();
+        wire::encode_frame(frame, &mut reply_buf);
+        black_box(reply_buf.len());
+    };
     let encode_ns = min_ns(stage_rounds, || {
-        for frame in &response_frames {
-            let (mut buf, _) = pool.get();
-            wire::encode_frame(frame, &mut buf);
-            black_box(buf.len());
-            pool.put(buf);
-        }
+        response_frames.iter().for_each(&mut encode_reused)
     }) / n;
 
     // --- Planned vs iterative FFT kernel, 256-point (the default
@@ -642,25 +547,18 @@ fn main() {
     let (pdp_batched_ns, pdp_per_packet_ns) = (pdp_batched_ns / n, pdp_per_packet_ns / n);
     let pdp_ns = pdp_batched_ns;
 
-    // --- Pooled vs fresh reply encode, per frame.
-    let (encode_pooled_ns, encode_fresh_ns) = lpcmp::paired_min_ns(
+    // --- Reused vs fresh reply encode buffer, per frame.
+    let (encode_reused_ns, encode_fresh_ns) = lpcmp::paired_min_ns(
         rounds(300),
         1,
-        || {
-            for frame in &response_frames {
-                let (mut buf, _) = pool.get();
-                wire::encode_frame(frame, &mut buf);
-                black_box(buf.len());
-                pool.put(buf);
-            }
-        },
+        || response_frames.iter().for_each(&mut encode_reused),
         || {
             for frame in &response_frames {
                 black_box(wire::frame_to_vec(frame));
             }
         },
     );
-    let (encode_pooled_ns, encode_fresh_ns) = (encode_pooled_ns / n, encode_fresh_ns / n);
+    let (encode_reused_ns, encode_fresh_ns) = (encode_reused_ns / n, encode_fresh_ns / n);
 
     // --- End to end: decode → PDP → constraints → LP → encode, the
     // optimized pipeline against the pre-optimization replica.
@@ -678,10 +576,7 @@ fn main() {
                 let readings = server.extract_readings(&reports);
                 let judgements = server.judge(&readings);
                 let response = response_of(req.request_id, estimator.estimate(&judgements, &area));
-                let (mut buf, _) = pool.get();
-                wire::encode_frame(&Frame::LocateResponse(response), &mut buf);
-                black_box(buf.len());
-                pool.put(buf);
+                encode_reused(&Frame::LocateResponse(response));
             }
         },
         || {
@@ -709,7 +604,7 @@ fn main() {
     let fft_speedup = fft_naive_ns / fft_planned_ns;
     let pdp_batched_speedup = pdp_per_packet_ns / pdp_batched_ns;
     let pdp64_speedup = pdp64_naive_ns / pdp64_planned_ns;
-    let encode_speedup = encode_fresh_ns / encode_pooled_ns;
+    let encode_speedup = encode_fresh_ns / encode_reused_ns;
     let e2e_speedup = e2e_naive_ns / e2e_optimized_ns;
 
     // --- Mostly-idle connection scaling.
@@ -720,45 +615,21 @@ fn main() {
     };
     let soak = run_soak(idle_target, soak_requests);
 
-    // --- Multi-venue fleet scaling: per-request cost at 1, 100, and
-    // (full mode) 1000 live venues under zipf-over-venues traffic.
-    let venue_counts: &[usize] = if quick_mode() {
-        &[1, 100]
-    } else {
-        &[1, 100, 1000]
-    };
-    let venue_batch = workload(if quick_mode() { 240 } else { 480 }, 2);
-    let venue_scales = run_venue_scales(venue_counts, &venue_batch);
-
     // --- Dispatch plane at 1 and 100 live venues.
     let dispatch_requests = if quick_mode() { 12_000 } else { 16_000 };
     let dispatch_scales = run_dispatch(&[1, 100], dispatch_requests);
 
     // --- Session plane: per-request cost of stateful tracking.
-    let sessions = run_sessions(&venue_batch);
+    let session_batch = workload(if quick_mode() { 240 } else { 480 }, 2);
+    let sessions = run_sessions(&session_batch);
     let sessions_json = format!(
-        "{{\"requests\": {}, \"stateless_ns_per_request\": {:.1}, \"sessioned_ns_per_request\": {:.1}, \"overhead_pct\": {:.2}, \"smoothed_replies\": {}}}",
+        "{{\"requests\": {}, \"stateless_ns_per_request\": {:.1}, \"sessioned_ns_per_request\": {:.1}, \"ratio\": {:.4}, \"smoothed_replies\": {}}}",
         sessions.requests,
         sessions.stateless_ns_per_request,
         sessions.sessioned_ns_per_request,
-        sessions.overhead_pct,
+        sessions.ratio,
         sessions.smoothed_replies,
     );
-    let venues_json: Vec<String> = venue_scales
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"live_venues\": {}, \"requests\": {}, \"ns_per_request\": {:.1}, \"p99_ns\": {:.0}, \"batches_homogeneous\": {}, \"batches_mixed\": {}}}",
-                s.live_venues,
-                s.requests,
-                s.ns_per_request,
-                s.p99_ns,
-                s.batches_homogeneous,
-                s.batches_mixed,
-            )
-        })
-        .collect();
-    let venues_json = format!("[{}]", venues_json.join(", "));
     let dispatch_json: Vec<String> = dispatch_scales
         .iter()
         .map(|d| {
@@ -795,7 +666,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"requests\": {n_requests},\n  \"stages\": {{\"decode_ns_per_request\": {decode_ns:.1}, \"pdp_ns_per_request\": {pdp_ns:.1}, \"constraints_ns_per_request\": {constraints_ns:.1}, \"lp_ns_per_request\": {lp_ns:.1}, \"encode_ns_per_request\": {encode_ns:.1}}},\n  \"fft\": {{\"points\": 256, \"planned_ns\": {fft_planned_ns:.1}, \"naive_ns\": {fft_naive_ns:.1}, \"speedup\": {fft_speedup:.4}}},\n  \"pdp_batched\": {{\"batched_ns_per_request\": {pdp_batched_ns:.1}, \"per_packet_ns_per_request\": {pdp_per_packet_ns:.1}, \"speedup\": {pdp_batched_speedup:.4}, \"ratio\": {pdp_batched_ratio:.4}}},\n  \"pdp_64\": {{\"planned_ns_per_burst\": {pdp64_planned_ns:.1}, \"unplanned_ns_per_burst\": {pdp64_naive_ns:.1}, \"speedup\": {pdp64_speedup:.4}}},\n  \"encode\": {{\"pooled_ns_per_reply\": {encode_pooled_ns:.1}, \"fresh_ns_per_reply\": {encode_fresh_ns:.1}, \"speedup\": {encode_speedup:.4}}},\n  \"end_to_end\": {{\"optimized_ns_per_request\": {e2e_optimized_ns:.1}, \"naive_ns_per_request\": {e2e_naive_ns:.1}, \"speedup\": {e2e_speedup:.4}}},\n  \"soak\": {soak_json},\n  \"venues\": {venues_json},\n  \"dispatch\": {dispatch_json},\n  \"sessions\": {sessions_json}\n}}\n"
+        "{{\n  \"requests\": {n_requests},\n  \"stages\": {{\"decode_ns_per_request\": {decode_ns:.1}, \"pdp_ns_per_request\": {pdp_ns:.1}, \"constraints_ns_per_request\": {constraints_ns:.1}, \"lp_ns_per_request\": {lp_ns:.1}, \"encode_ns_per_request\": {encode_ns:.1}}},\n  \"fft\": {{\"points\": 256, \"planned_ns\": {fft_planned_ns:.1}, \"naive_ns\": {fft_naive_ns:.1}, \"speedup\": {fft_speedup:.4}}},\n  \"pdp_batched\": {{\"batched_ns_per_request\": {pdp_batched_ns:.1}, \"per_packet_ns_per_request\": {pdp_per_packet_ns:.1}, \"speedup\": {pdp_batched_speedup:.4}, \"ratio\": {pdp_batched_ratio:.4}}},\n  \"pdp_64\": {{\"planned_ns_per_burst\": {pdp64_planned_ns:.1}, \"unplanned_ns_per_burst\": {pdp64_naive_ns:.1}, \"speedup\": {pdp64_speedup:.4}}},\n  \"encode\": {{\"reused_ns_per_reply\": {encode_reused_ns:.1}, \"fresh_ns_per_reply\": {encode_fresh_ns:.1}, \"speedup\": {encode_speedup:.4}}},\n  \"end_to_end\": {{\"optimized_ns_per_request\": {e2e_optimized_ns:.1}, \"naive_ns_per_request\": {e2e_naive_ns:.1}, \"speedup\": {e2e_speedup:.4}}},\n  \"soak\": {soak_json},\n  \"dispatch\": {dispatch_json},\n  \"sessions\": {sessions_json}\n}}\n"
     );
 
     println!(
@@ -816,7 +687,7 @@ fn main() {
          ns/burst — speedup {pdp64_speedup:.3}x"
     );
     println!(
-        "encode: pooled {encode_pooled_ns:.0} ns/reply, fresh {encode_fresh_ns:.0} ns/reply — \
+        "encode: reused {encode_reused_ns:.0} ns/reply, fresh {encode_fresh_ns:.0} ns/reply — \
          speedup {encode_speedup:.3}x"
     );
     println!(
@@ -852,35 +723,12 @@ fn main() {
         );
     }
 
-    for s in &venue_scales {
-        println!(
-            "venues: {} live — {:.0} ns/req, p99 {:.2} ms, batches homogeneous {} / mixed {}",
-            s.live_venues,
-            s.ns_per_request,
-            s.p99_ns / 1e6,
-            s.batches_homogeneous,
-            s.batches_mixed,
-        );
-    }
-    if let (Some(one), Some(hundred)) = (
-        venue_scales.iter().find(|s| s.live_venues == 1),
-        venue_scales.iter().find(|s| s.live_venues == 100),
-    ) {
-        println!(
-            "venues: 100-venue per-request cost is {:+.1}% vs single-venue \
-             ({:.0} ns vs {:.0} ns)",
-            (hundred.ns_per_request / one.ns_per_request - 1.0) * 100.0,
-            hundred.ns_per_request,
-            one.ns_per_request,
-        );
-    }
-
     println!(
-        "sessions: sessioned {:.0} ns/req vs stateless {:.0} ns/req — overhead {:+.2}% \
-         ({} smoothed replies)",
+        "sessions: sessioned {:.0} ns/req vs stateless {:.0} ns/req — median round ratio \
+         {:.3} ({} smoothed replies)",
         sessions.sessioned_ns_per_request,
         sessions.stateless_ns_per_request,
-        sessions.overhead_pct,
+        sessions.ratio,
         sessions.smoothed_replies,
     );
 

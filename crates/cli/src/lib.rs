@@ -462,7 +462,8 @@ CHAOS OPTIONS:
     --rate R                      per-fault-class rate in [0, 0.125]
                                   (default 0.03; 8 classes ≈ 24 % faulted)
     --kill-every N                kill a batcher after every Nth batch,
-                                  0 = never (default 0; watchdog respawns)
+                                  0 = never (default 0; watchdog respawns;
+                                  1 is rejected: it would livelock)
     --workers N                   loopback daemon worker threads (default 0)
     --sessions N                  interleave N concurrent sessions, verified
                                   by per-session tracker replay (cross-wire
@@ -729,7 +730,15 @@ fn parse_chaos(args: &[String]) -> Result<ChaosSpec, ParseError> {
                     ));
                 }
             }
-            "--kill-every" => spec.kill_every = parse_usize(flag, take_value(flag, &mut it)?)?,
+            "--kill-every" => {
+                spec.kill_every = parse_usize(flag, take_value(flag, &mut it)?)?;
+                if spec.kill_every == 1 {
+                    return Err(err(
+                        "flag `--kill-every`: 1 would kill every batcher on every batch \
+                         (a livelock that answers nothing); use 0 or N >= 2",
+                    ));
+                }
+            }
             "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
             "--sessions" => {
                 spec.sessions = take_value(flag, &mut it)?
@@ -1478,8 +1487,8 @@ mod tests {
             let e = parse(&args(&format!("serve {flag}"))).unwrap_err();
             assert!(e.to_string().contains("unknown serve flag"), "{flag}: {e}");
         }
-        // The reply-pool counters travel in every health frame, so the
-        // loadgen flag that re-printed them is gone as well.
+        // Every serving counter travels in the health frame, so the
+        // loadgen flag that re-printed the reply counters is gone as well.
         let e = parse(&args("loadgen --payload-reuse")).unwrap_err();
         assert!(e.to_string().contains("unknown loadgen flag"), "{e}");
     }
@@ -1549,6 +1558,16 @@ mod tests {
     }
 
     #[test]
+    fn kill_every_one_is_rejected_as_a_livelock() {
+        let e = parse(&args("chaos --kill-every 1")).unwrap_err();
+        assert!(e.to_string().contains("livelock"), "{e}");
+        for ok in ["0", "2"] {
+            let cmd = parse(&args(&format!("chaos --kill-every {ok}"))).unwrap();
+            assert!(matches!(cmd, Command::Chaos(_)), "--kill-every {ok}");
+        }
+    }
+
+    #[test]
     fn run_chaos_smoke_verifies_the_contract() {
         let out = run_chaos(&ChaosSpec {
             requests: 40,
@@ -1600,11 +1619,11 @@ mod tests {
         assert!(out.contains("ok 12"), "requests failed:\n{out}");
         // The loopback daemon's drain-time health summary rides along.
         assert!(out.contains("nomloc-net health"), "missing health:\n{out}");
-        // Every reply is encoded into a pool checkout, so the health
-        // summary reports the buffer pool.
+        // Every reply is counted as it is encoded, so the health summary
+        // reports the reply bytes.
         assert!(
-            out.contains("pool hit-rate"),
-            "missing buffer-pool line:\n{out}"
+            out.contains("reply bytes encoded"),
+            "missing reply-bytes line:\n{out}"
         );
     }
 

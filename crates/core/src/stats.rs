@@ -428,13 +428,6 @@ counter_set! {
         shard_depth_peak,
         /// Reply-frame bytes encoded by the serving layer.
         reply_bytes_encoded,
-        /// Reply-frame bytes encoded into a pooled (reused) buffer rather than
-        /// a fresh allocation.
-        reply_bytes_pooled,
-        /// Encode-buffer pool checkouts that reused an existing backing store.
-        pool_hits,
-        /// Encode-buffer pool checkouts that had to allocate (pool empty).
-        pool_misses,
     }
 
     /// The atomic twin of [`CounterTotals`] that [`PipelineStats`] records
@@ -521,15 +514,8 @@ impl fmt::Display for StatsSnapshot {
             writeln!(f, "  queue steals          {}", c.queue_steals)?;
             writeln!(f, "  enqueue contention    {}", c.enqueue_contention)?;
         }
-        if c.pool_hits > 0 || c.pool_misses > 0 {
-            let checkouts = c.pool_hits + c.pool_misses;
-            writeln!(
-                f,
-                "  reply bytes encoded   {} ({} pooled, pool hit-rate {:.1}%)",
-                c.reply_bytes_encoded,
-                c.reply_bytes_pooled,
-                100.0 * c.pool_hits as f64 / checkouts as f64,
-            )?;
+        if c.reply_bytes_encoded > 0 {
+            writeln!(f, "  reply bytes encoded   {}", c.reply_bytes_encoded)?;
         }
         for (name, h) in [
             ("extract", &self.extract_latency),
@@ -749,24 +735,15 @@ impl PipelineStats {
             .fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Records one reply-frame encode of `bytes` into a pool checkout that
-    /// either `reused` an existing backing store or had to allocate.
+    /// Records `bytes` of encoded reply frames.
     ///
     /// Serving-layer only (the daemon's reply path); in-process batch runs
-    /// never touch these counters, so [`CounterTotals`] determinism across
+    /// never touch this counter, so [`CounterTotals`] determinism across
     /// worker counts is unaffected.
-    pub fn record_reply_encode(&self, bytes: u64, reused: bool) {
+    pub fn record_reply_encode(&self, bytes: u64) {
         self.counters
             .reply_bytes_encoded
             .fetch_add(bytes, Ordering::Relaxed);
-        if reused {
-            self.counters
-                .reply_bytes_pooled
-                .fetch_add(bytes, Ordering::Relaxed);
-            self.counters.pool_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters.pool_misses.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Copies the current state out as plain data.
@@ -1049,20 +1026,17 @@ mod tests {
     #[test]
     fn reply_encode_counters_accumulate_and_reset() {
         let stats = PipelineStats::new();
-        stats.record_reply_encode(100, false);
-        stats.record_reply_encode(60, true);
-        stats.record_reply_encode(40, true);
+        stats.record_reply_encode(100);
+        stats.record_reply_encode(60);
+        stats.record_reply_encode(40);
         let c = stats.snapshot().counters;
         assert_eq!(c.reply_bytes_encoded, 200);
-        assert_eq!(c.reply_bytes_pooled, 100);
-        assert_eq!(c.pool_hits, 2);
-        assert_eq!(c.pool_misses, 1);
         let text = stats.snapshot().to_string();
-        assert!(text.contains("reply bytes encoded   200 (100 pooled, pool hit-rate 66.7%)"));
+        assert!(text.contains("reply bytes encoded   200\n"));
         stats.reset();
         let c = stats.snapshot().counters;
         assert_eq!(c, CounterTotals::default());
-        // No pool activity: the reuse line disappears entirely.
+        // Nothing encoded: the line disappears entirely.
         assert!(!stats.snapshot().to_string().contains("reply bytes"));
     }
 

@@ -52,7 +52,6 @@
 //! `process_batch` (the loopback suite's bit-identity test) and by the
 //! chaos verifier's replay.
 
-use crate::pool::BufferPool;
 use crate::registry::{RegistryReader, ResolveError, VenueEntry, VenueRegistry};
 use crate::sessions::{SessionConfig, SessionTable, SessionView, PREDICTED_ERROR_WIDENING};
 use crate::wire::{
@@ -63,6 +62,7 @@ use nomloc_core::server::CsiReport;
 use nomloc_core::stats::{PipelineStats, StatsSnapshot};
 use nomloc_core::{EstimateQuality, LocalizationServer};
 use nomloc_faults::{FaultClass, FaultPlan};
+use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
@@ -109,6 +109,8 @@ pub struct DaemonConfig {
     /// (globally counted); 0 = never. The dying batcher requeues its
     /// batch at the queue front, so no admitted request is lost, and the
     /// watchdog respawns a replacement (counted in `batchers_respawned`).
+    /// 1 would kill every batcher on every batch and answer nothing, so it
+    /// is treated as 0.
     pub kill_batcher_every: u64,
     /// Event-loop threads. Connections are pinned to the loop that
     /// accepted them.
@@ -145,6 +147,15 @@ impl Default for DaemonConfig {
             session_ttl: Duration::from_secs(60),
             session_shards: 16,
         }
+    }
+}
+
+impl DaemonConfig {
+    /// The period of the `kill_batcher_every` chaos knob, `None` when it
+    /// is off: at 0, and at 1, which would livelock every batcher (each
+    /// would requeue its batch and die on every pop).
+    fn batcher_kill_period(&self) -> Option<u64> {
+        (self.kill_batcher_every > 1).then_some(self.kill_batcher_every)
     }
 }
 
@@ -213,10 +224,6 @@ struct Shared {
     /// `Arc` so the chaos harness can hold the table across the daemon's
     /// lifetime and force TTL races.
     sessions: Arc<SessionTable>,
-    /// Reusable `Vec<u8>` backing stores for reply-frame encoding, shared
-    /// by readers and batchers. Hit/miss and byte counters surface through
-    /// `PipelineStats` → `ServerHealth`.
-    pool: BufferPool,
 }
 
 /// Handle to a running daemon: address, live stats, graceful shutdown.
@@ -281,9 +288,6 @@ pub fn spawn<A: ToSocketAddrs>(
             ttl: config.session_ttl,
             shards: config.session_shards,
         })),
-        // Enough idle buffers for every reader and batcher to hold one
-        // while others are checked out; excess returns are dropped.
-        pool: BufferPool::new(64),
     });
 
     let (loop_threads, loops) = event::spawn_loops(&shared, &listener)?;
@@ -495,9 +499,6 @@ fn health_of(shared: &Shared) -> ServerHealth {
         sessions_evicted: shared.sessions.evicted(),
         tracker_rejections: shared.sessions.rejections(),
         reply_bytes_encoded: snap.counters.reply_bytes_encoded,
-        reply_bytes_pooled: snap.counters.reply_bytes_pooled,
-        pool_hits: snap.counters.pool_hits,
-        pool_misses: snap.counters.pool_misses,
         slow_readers_evicted: net.slow_readers_evicted.load(Ordering::Relaxed),
         enqueue_contention: snap.counters.enqueue_contention,
         queue_steals: snap.counters.queue_steals,
@@ -507,36 +508,53 @@ fn health_of(shared: &Shared) -> ServerHealth {
     }
 }
 
-/// Sends one reply frame, bumping the response counters. The frame is
-/// encoded into a pooled buffer (returned afterwards), so steady-state
-/// replies reuse backing stores instead of allocating. Write errors are
-/// swallowed: the client hung up, which is its prerogative.
-fn reply(shared: &Shared, writer: &QueuedSink, response: LocateResponse) {
-    let ok = response.outcome.is_ok();
-    let frame = Frame::LocateResponse(response);
-    let (mut bytes, reused) = shared.pool.get();
-    wire::encode_frame(&frame, &mut bytes);
-    shared.stats.record_reply_encode(bytes.len() as u64, reused);
-    let sent = writer.send(&bytes);
-    shared.pool.put(bytes);
-    if sent {
-        shared.net.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.net.responses_sent.fetch_add(1, Ordering::Relaxed);
-    if ok {
-        shared.net.requests_ok.fetch_add(1, Ordering::Relaxed);
-    }
+thread_local! {
+    /// This thread's reply encode buffer. A reply lives in it only for the
+    /// one `QueuedSink::send` that writes it through (the sink copies
+    /// whatever the socket does not take), so one `Vec` per replying
+    /// thread serves every frame with no allocation in steady state.
+    static REPLY_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Answers a request whose version byte we cannot serve with a clean
-/// [`ErrorCode::UnsupportedVersion`] reply on the *client's* dialect
-/// (see [`wire::unsupported_version_reply`]), then the caller closes.
-fn version_reject(shared: &Shared, writer: &QueuedSink, got: u8) {
-    let bytes = wire::unsupported_version_reply(got);
-    if writer.send(&bytes) {
-        shared.net.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.net.responses_sent.fetch_add(1, Ordering::Relaxed);
+/// Sends `frames`, encoded at protocol `version`, to one connection with
+/// a single write, and counts them: every frame the daemon sends goes
+/// out here. Write errors are swallowed: the client hung up, which is its
+/// prerogative.
+fn send_frames(
+    shared: &Shared,
+    writer: &QueuedSink,
+    version: u8,
+    frames: impl IntoIterator<Item = Frame>,
+) {
+    REPLY_BUF.with_borrow_mut(|bytes| {
+        bytes.clear();
+        let (mut count, mut responses, mut ok) = (0, 0, 0);
+        for frame in frames {
+            if let Frame::LocateResponse(response) = &frame {
+                responses += 1;
+                ok += u64::from(response.outcome.is_ok());
+            }
+            wire::encode_frame_with_version(&frame, version, bytes);
+            count += 1;
+        }
+        shared.stats.record_reply_encode(bytes.len() as u64);
+        let net = &shared.net;
+        if writer.send(bytes) {
+            net.frames_out.fetch_add(count, Ordering::Relaxed);
+        }
+        net.responses_sent.fetch_add(responses, Ordering::Relaxed);
+        net.requests_ok.fetch_add(ok, Ordering::Relaxed);
+    });
+}
+
+/// Sends one locate reply.
+fn reply(shared: &Shared, writer: &QueuedSink, response: LocateResponse) {
+    send_frames(
+        shared,
+        writer,
+        wire::VERSION,
+        [Frame::LocateResponse(response)],
+    );
 }
 
 fn error_reply(request_id: u64, code: ErrorCode, message: impl Into<String>) -> LocateResponse {
@@ -639,7 +657,12 @@ fn handle_frame(
         }
         Frame::StatsRequest => {
             let health = health_of(shared);
-            send_admin_frame(shared, writer, &Frame::StatsResponse(health));
+            send_frames(
+                shared,
+                writer,
+                wire::VERSION,
+                [Frame::StatsResponse(health)],
+            );
             Ok(())
         }
         // Admin plane: rare, so the registry's publisher lock is fine
@@ -703,7 +726,7 @@ fn handle_frame(
 /// whose suites need requests to reach the batchers.
 fn solves_inline(shared: &Shared, venue: u64, scratch: &mut BatcherScratch) -> bool {
     if !shared.config.batch_pause.is_zero()
-        || shared.config.kill_batcher_every != 0
+        || shared.config.batcher_kill_period().is_some()
         || shared.shutting_down.load(Ordering::Acquire)
     {
         return false;
@@ -736,18 +759,6 @@ fn solve_on_loop(shared: &Shared, scratch: &mut BatcherScratch) {
     scratch.reader.release();
 }
 
-/// Encodes one non-locate frame into a pooled buffer and sends it.
-fn send_admin_frame(shared: &Shared, writer: &QueuedSink, frame: &Frame) {
-    let (mut bytes, reused) = shared.pool.get();
-    wire::encode_frame(frame, &mut bytes);
-    shared.stats.record_reply_encode(bytes.len() as u64, reused);
-    let sent = writer.send(&bytes);
-    shared.pool.put(bytes);
-    if sent {
-        shared.net.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Answers an admin frame: the registry listing on success, the
 /// structured error otherwise.
 fn send_admin_response(
@@ -759,11 +770,8 @@ fn send_admin_response(
         Ok(()) => Ok(shared.registry.list()),
         Err((code, message)) => Err(ErrorReply { code, message }),
     };
-    send_admin_frame(
-        shared,
-        writer,
-        &Frame::VenueAdminResponse(VenueAdminResponse { outcome }),
-    );
+    let frame = Frame::VenueAdminResponse(VenueAdminResponse { outcome });
+    send_frames(shared, writer, wire::VERSION, [frame]);
 }
 
 /// Per-thread reusable buffers for request assembly and replies: one per
@@ -796,14 +804,13 @@ fn batcher_loop(shared: &Arc<Shared>, idx: usize) {
             return; // drained and shutting down
         }
         let popped = shared.net.batches_popped.fetch_add(1, Ordering::Relaxed) + 1;
-        let kill = shared.config.kill_batcher_every;
-        if kill > 1 && popped.is_multiple_of(kill) {
+        let kill = shared.config.batcher_kill_period();
+        if kill.is_some_and(|n| popped.is_multiple_of(n)) {
             // Simulated batcher death: requeue the batch at the front of
             // its queue (its venue's FIFO, in its own shard, on the
             // sharded plane) — no admitted request is lost — and exit the
             // thread. The watchdog notices and respawns within one poll
-            // interval. (`kill == 1` would livelock every batcher, so it
-            // is treated as disabled along with 0.)
+            // interval.
             shared.dispatch.requeue_front(&mut scratch.batch);
             return;
         }
@@ -907,43 +914,22 @@ fn solve_and_reply(shared: &Shared, scratch: &mut BatcherScratch) {
                     .zip(results)
                     .map(|(p, result)| Some(response_for(shared, &entry, p, result))),
             );
-            // Coalesced writes: encode every reply destined for the same
-            // connection into one pooled buffer and write it with a single
-            // syscall, instead of one locked write per reply.
+            // Coalesced writes: every reply destined for the same
+            // connection goes out in one write, instead of one per reply.
             for i in 0..live.len() {
                 if responses[i].is_none() {
                     continue;
                 }
                 let writer = &live[i].writer;
-                let (mut bytes, reused) = shared.pool.get();
-                let mut frames = 0u64;
-                let mut ok_frames = 0u64;
-                for j in i..live.len() {
-                    if !Arc::ptr_eq(&live[j].writer, writer) {
-                        continue;
-                    }
-                    if let Some(response) = responses[j].take() {
-                        if response.outcome.is_ok() {
-                            ok_frames += 1;
-                        }
-                        wire::encode_frame(&Frame::LocateResponse(response), &mut bytes);
-                        frames += 1;
-                    }
-                }
-                shared.stats.record_reply_encode(bytes.len() as u64, reused);
-                let sent = writer.send(&bytes);
-                shared.pool.put(bytes);
-                if sent {
-                    shared.net.frames_out.fetch_add(frames, Ordering::Relaxed);
-                }
-                shared
-                    .net
-                    .responses_sent
-                    .fetch_add(frames, Ordering::Relaxed);
-                shared
-                    .net
-                    .requests_ok
-                    .fetch_add(ok_frames, Ordering::Relaxed);
+                let same_conn = (i..live.len())
+                    .filter(|&j| Arc::ptr_eq(&live[j].writer, writer))
+                    .filter_map(|j| responses[j].take());
+                send_frames(
+                    shared,
+                    writer,
+                    wire::VERSION,
+                    same_conn.map(Frame::LocateResponse),
+                );
             }
         }
         Err(_) => {

@@ -44,11 +44,9 @@
 //! "every admitted request is answered" holds on the wire, not just in
 //! the buffers.
 
-use super::{
-    error_reply, handle_frame, reply, version_reject, BatcherScratch, Shared, POLL_INTERVAL,
-};
+use super::{error_reply, handle_frame, reply, send_frames, BatcherScratch, Shared, POLL_INTERVAL};
 use crate::poll::{Event, Interest, Poller, Waker};
-use crate::wire::{ErrorCode, StreamDecoder, WireError};
+use crate::wire::{self, ErrorCode, StreamDecoder, WireError};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -509,7 +507,8 @@ fn handle_readable(
                                 // protocol version so it can decode the
                                 // rejection, then close.
                                 shared.net.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                version_reject(shared, &conn.writer, got);
+                                let (frame, version) = wire::unsupported_version_reply(got);
+                                send_frames(shared, &conn.writer, version, [frame]);
                                 action = Action::CloseAfterFlush;
                                 break;
                             }

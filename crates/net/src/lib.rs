@@ -57,7 +57,6 @@ pub mod crc32;
 pub mod daemon;
 pub mod loadgen;
 pub mod poll;
-pub mod pool;
 pub mod registry;
 pub mod sessions;
 pub mod wire;
@@ -65,7 +64,6 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosReport, ChaosSummary};
 pub use daemon::{spawn, DaemonConfig, DaemonHandle};
 pub use loadgen::{LoadgenConfig, LoadgenReport, VenuePicker};
-pub use pool::BufferPool;
 pub use registry::{RegistryReader, VenueRegistry};
 pub use sessions::{SessionConfig, SessionTable};
 pub use wire::{ErrorCode, Frame, ServerHealth, VenueSummary, WireError, WireVenue};

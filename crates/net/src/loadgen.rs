@@ -524,7 +524,7 @@ fn drive_once(
         let sender: std::thread::ScopedJoinHandle<'_, io::Result<()>> = scope.spawn(move || {
             // One encode buffer for the whole pass: frames are encoded
             // into the reused backing store instead of allocating per
-            // request (mirrors the daemon's pooled reply path).
+            // request (as each daemon thread encodes its replies).
             let mut bytes = Vec::new();
             for (slot, &i) in sender_indices.iter().enumerate() {
                 let frame = Frame::LocateRequest(LocateRequest {

@@ -61,12 +61,14 @@ pub const MAGIC: [u8; 4] = *b"NMLC";
 /// [`WireEstimate`], the `Predicted` quality tier (byte 3), and session
 /// counters on [`ServerHealth`]/[`VenueHealth`]. v5 serializes every
 /// [`ServerHealth`] scalar: the reply-pool and dispatch-plane counters
-/// follow the v4 ones. Older decoders reject newer frames with
+/// follow the v4 ones. v6 drops the three reply-pool counters (the daemon
+/// encodes each reply into its thread's own buffer), leaving 33 scalars.
+/// Older decoders reject newer frames with
 /// [`WireError::BadVersion`], and the daemon answers a down-version
 /// request with a [`ErrorCode::UnsupportedVersion`] reply encoded at the
 /// *client's* version (see [`unsupported_version_reply`]) so old
 /// structural decoders never see a CRC or framing failure.
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Maximum accepted payload length (guards allocation on hostile input).
@@ -655,12 +657,6 @@ nomloc_core::counter_set! {
         tracker_rejections,
         /// Reply-frame bytes encoded by the daemon (v5).
         reply_bytes_encoded,
-        /// Reply-frame bytes encoded into a pooled (reused) buffer (v5).
-        reply_bytes_pooled,
-        /// Encode-buffer pool checkouts that reused a backing store (v5).
-        pool_hits,
-        /// Encode-buffer pool checkouts that allocated fresh (v5).
-        pool_misses,
         /// Connections evicted because their bounded outbound write buffer
         /// overflowed (a slow reader; v5).
         slow_readers_evicted,
@@ -714,15 +710,8 @@ impl fmt::Display for ServerHealth {
                 self.enqueue_contention
             )?;
         }
-        if self.pool_hits > 0 || self.pool_misses > 0 {
-            let checkouts = self.pool_hits + self.pool_misses;
-            writeln!(
-                f,
-                "  reply bytes encoded   {} ({} pooled, pool hit-rate {:.1}%)",
-                self.reply_bytes_encoded,
-                self.reply_bytes_pooled,
-                100.0 * self.pool_hits as f64 / checkouts as f64,
-            )?;
+        if self.reply_bytes_encoded > 0 {
+            writeln!(f, "  reply bytes encoded   {}", self.reply_bytes_encoded)?;
         }
         writeln!(
             f,
@@ -1274,14 +1263,15 @@ pub fn encode_frame_with_version(frame: &Frame, version: u8, out: &mut Vec<u8>) 
 }
 
 /// The daemon's reply to a request whose version byte it cannot serve: a
-/// [`LocateResponse`] carrying [`ErrorCode::UnsupportedVersion`], encoded
-/// at the *client's* version when the client is older than us (so its
-/// structural decoder accepts the frame — the error-response layout has
-/// not changed since v2) and at our version otherwise.
+/// [`LocateResponse`] carrying [`ErrorCode::UnsupportedVersion`], and the
+/// version byte to encode it at ([`encode_frame_with_version`]): the
+/// *client's* version when the client is older than us (so its structural
+/// decoder accepts the frame — the error-response layout has not changed
+/// since v2) and ours otherwise.
 ///
 /// A client on any older version therefore sees a clean structured error
 /// on its own wire dialect, never a CRC or framing failure.
-pub fn unsupported_version_reply(got: u8) -> Vec<u8> {
+pub fn unsupported_version_reply(got: u8) -> (Frame, u8) {
     let reply_version = if (1..VERSION).contains(&got) {
         got
     } else {
@@ -1294,9 +1284,7 @@ pub fn unsupported_version_reply(got: u8) -> Vec<u8> {
             message: format!("server speaks protocol v{VERSION}, got v{got}"),
         }),
     });
-    let mut out = Vec::new();
-    encode_frame_with_version(&frame, reply_version, &mut out);
-    out
+    (frame, reply_version)
 }
 
 /// Encodes `frame` into a fresh buffer.
@@ -1672,12 +1660,12 @@ mod tests {
 
     #[test]
     fn old_decoders_reject_current_frames_cleanly() {
-        // A v4 decoder checked `buf[4] != 4`; our v5 frames carry 5 there,
+        // A v5 decoder checked `buf[4] != 5`; our v6 frames carry 6 there,
         // so the old check fires BadVersion before any payload is touched.
         // Symmetrically, a down-version frame presented to this decoder is
         // rejected the same way.
         let mut bytes = frame_to_vec(&Frame::StatsRequest);
-        assert_eq!(bytes[4], 5, "frames are emitted at protocol v5");
+        assert_eq!(bytes[4], 6, "frames are emitted at protocol v6");
         for old in 1..VERSION {
             bytes[4] = old;
             assert!(matches!(
@@ -1689,7 +1677,7 @@ mod tests {
 
     #[test]
     fn down_version_requests_get_a_decodable_unsupported_version_reply() {
-        // An older client (v2 through v4) sends a request with its own
+        // An older client (v2 through v5) sends a request with its own
         // version byte (the CRC covers only the payload, so the daemon
         // rejects on the version byte alone) and must be able to decode the
         // reply on its own dialect — acting that client via
@@ -1700,7 +1688,9 @@ mod tests {
             let Err(WireError::BadVersion { got }) = decode_frame(&req) else {
                 panic!("v{old} request must be rejected on the version byte");
             };
-            let reply = unsupported_version_reply(got);
+            let (frame, version) = unsupported_version_reply(got);
+            let mut reply = Vec::new();
+            encode_frame_with_version(&frame, version, &mut reply);
             assert_eq!(reply[4], old, "reply is stamped with the client's version");
             let (frame, n) = decode_frame_with_version(&reply, old).unwrap();
             assert_eq!(n, reply.len());
@@ -1712,10 +1702,10 @@ mod tests {
                 ErrorCode::UnsupportedVersion
             );
         }
-        // A *newer* client (hypothetical v6) gets the reply on our dialect.
-        let reply = unsupported_version_reply(VERSION + 1);
-        assert_eq!(reply[4], VERSION);
-        assert!(decode_frame(&reply).is_ok());
+        // A *newer* client (hypothetical v7) gets the reply on our dialect.
+        let (frame, version) = unsupported_version_reply(VERSION + 1);
+        assert_eq!(version, VERSION);
+        assert!(decode_frame(&frame_to_vec(&frame)).is_ok());
     }
 
     #[test]
@@ -1854,15 +1844,16 @@ mod tests {
     }
 
     #[test]
-    fn v5_health_appends_the_formerly_local_counters() {
-        // v5 keeps the 27 v4 scalars in place and appends the nine reply-pool
-        // and dispatch-plane counters after them, in declaration order; the
+    fn v6_health_drops_the_reply_pool_counters() {
+        // v6 keeps the 27 v4 scalars in place, then `reply_bytes_encoded`
+        // and the five slow-reader and dispatch-plane counters, in
+        // declaration order (v5's three reply-pool counters are gone); the
         // venue-record count follows the last scalar.
         let mut health = ServerHealth::default();
         for (i, slot) in health.values_mut().into_iter().enumerate() {
             *slot = i as u64 + 1;
         }
-        assert_eq!(ServerHealth::LEN, 36);
+        assert_eq!(ServerHealth::LEN, 33);
         let bytes = frame_to_vec(&Frame::StatsResponse(health.clone()));
         let word = |i: usize| {
             let at = HEADER_LEN + 8 * i;
@@ -1870,9 +1861,9 @@ mod tests {
         };
         assert_eq!(word(26), health.tracker_rejections);
         assert_eq!(word(27), health.reply_bytes_encoded);
-        assert_eq!(word(30), health.pool_misses);
-        assert_eq!(word(35), health.queue_shards);
-        assert_eq!(bytes.len(), HEADER_LEN + 8 * 36 + 4);
+        assert_eq!(word(28), health.slow_readers_evicted);
+        assert_eq!(word(32), health.queue_shards);
+        assert_eq!(bytes.len(), HEADER_LEN + 8 * 33 + 4);
         assert_eq!(
             decode_frame(&bytes).unwrap().0,
             Frame::StatsResponse(health)

@@ -29,22 +29,6 @@ cargo run --release -p nomloc-bench --bin bench_serving_json --offline
 fft_speedup=$(sed -n 's/.*"fft": {[^}]*"speedup": \([0-9.]*\).*/\1/p' BENCH_serving.json)
 echo "planned vs naive FFT speedup: ${fft_speedup}x (256-point kernel)"
 
-# Multi-venue registry overhead: per-request cost with 1 vs 100 live
-# venues (identical geometry, so the delta is registry + venue-sharding).
-venue_one=$(grep -o '"live_venues": 1, "requests": [0-9]*, "ns_per_request": [0-9.]*' \
-  BENCH_serving.json | head -1 | sed 's/.*: //')
-venue_hundred=$(grep -o '"live_venues": 100, "requests": [0-9]*, "ns_per_request": [0-9.]*' \
-  BENCH_serving.json | head -1 | sed 's/.*: //')
-if [[ -n "$venue_one" && -n "$venue_hundred" ]]; then
-  awk -v one="$venue_one" -v hundred="$venue_hundred" 'BEGIN {
-    printf "venue scale: 1 venue %.0f ns/req, 100 venues %.0f ns/req (%+.1f%%)\n",
-      one, hundred, (hundred - one) / one * 100
-  }'
-else
-  echo "venue scale: counts missing from BENCH_serving.json" >&2
-  exit 1
-fi
-
 echo "==> loadgen quick throughput (loopback daemon, 4 connections)"
 cargo run --release -p nomloc-cli --bin nomloc --offline -- \
   loadgen --requests 1000 --packets 2 --connections 4

@@ -125,7 +125,7 @@ if [[ ! -s BENCH_serving.json ]]; then
   echo "error: BENCH_serving.json missing or empty" >&2
   exit 1
 fi
-for key in stages fft pdp_64 pdp_batched encode end_to_end speedup decode_ns_per_request soak venues dispatch sessions; do
+for key in stages fft pdp_64 pdp_batched encode end_to_end speedup decode_ns_per_request soak dispatch sessions; do
   if ! grep -q "\"$key\"" BENCH_serving.json; then
     echo "error: BENCH_serving.json malformed — missing key \"$key\"" >&2
     exit 1
@@ -194,22 +194,27 @@ else
   }
 fi
 
-echo "==> session overhead guard (sessions.overhead_pct)"
-# Sessioned vs stateless ns/request over the same workload, paired
-# min-of-5 rounds. On a 2-vCPU host, 33 quick runs spread from -14.5%
-# to +20.7%, so the limit sits above the largest of them; a session
-# plane that got materially more expensive per request trips it.
-overhead="$(sed -n 's/.*"overhead_pct"[[:space:]]*:[[:space:]]*\(-\{0,1\}[0-9.]*\).*/\1/p' \
+echo "==> session overhead guard (sessions.ratio, paired in-run)"
+# Sessioned vs stateless passes over the same workload against one
+# daemon, run back to back in each round; the gate is the median over
+# rounds of sessioned time over stateless time, which a slow spell of the
+# host lifts on both sides alike. On a 2-vCPU host 20 clean quick runs
+# read 0.951-1.063, and an 18 us busy-wait per sessioned request (half a
+# stateless request's ~36 us) read 1.181-1.320 in 10 runs, so the limit
+# sits between them. (The min-of-5 overhead percentage this replaces
+# spread from -14.5% to +27.3% on clean runs against a +25% limit, and
+# passed 4 of 10 runs of the same busy-wait.)
+sessions_ratio="$(sed -n '/"sessions"/s/.*"ratio"[[:space:]]*:[[:space:]]*\([0-9.]*\).*/\1/p' \
   BENCH_serving.json | head -1)"
-if [[ -z "$overhead" ]]; then
-  echo "error: sessions.overhead_pct missing from fresh BENCH_serving.json" >&2
+if [[ -z "$sessions_ratio" ]]; then
+  echo "error: sessions.ratio missing from fresh BENCH_serving.json" >&2
   exit 1
 fi
-awk -v o="$overhead" 'BEGIN {
-  printf "    sessions.overhead_pct: %+.2f%% (limit +25%%)\n", o
-  exit (o > 25.0) ? 1 : 0
+awk -v r="$sessions_ratio" 'BEGIN {
+  printf "    sessions.ratio: %.4f (limit 1.15)\n", r
+  exit (r > 1.15) ? 1 : 0
 }' || {
-  echo "error: session tracking costs more than 25% per request" >&2
+  echo "error: session tracking costs more than 15% per request" >&2
   exit 1
 }
 
