@@ -6,9 +6,7 @@
 //! The acceptance figure for the serving refactor is the ratio between
 //! `uncached_loop` and `batch_cached` on the Lab venue: identical requests
 //! and identical LP work, with the geometry precomputed once on the cached
-//! side. A parallel variant is included for machines with more than one
-//! core; on a single-core host it degenerates to the serial path plus
-//! thread-spawn overhead.
+//! side.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nomloc_bench::serving::requests_for;
@@ -41,20 +39,11 @@ fn bench_serving(c: &mut Criterion) {
             })
         });
 
-        // Warm-cache serial batch: same work, geometry precomputed once.
-        let serial = LocalizationServer::new(area.clone()).with_workers(1);
+        // Warm-cache batch: same work, geometry precomputed once.
+        let cached = LocalizationServer::new(area);
         group.bench_function("batch_cached", |b| {
             b.iter(|| {
-                let results = serial.localize_batch(std::hint::black_box(&requests));
-                assert!(results.iter().all(|r| r.is_ok()));
-            })
-        });
-
-        // Warm-cache batch across all available cores.
-        let parallel = LocalizationServer::new(area);
-        group.bench_function("batch_cached_parallel", |b| {
-            b.iter(|| {
-                let results = parallel.localize_batch(std::hint::black_box(&requests));
+                let results = cached.localize_batch(std::hint::black_box(&requests));
                 assert!(results.iter().all(|r| r.is_ok()));
             })
         });
@@ -73,7 +62,7 @@ fn paired_ratio(venue: &Venue) {
     let area = venue.plan.boundary().clone();
     let requests = requests_for(venue, 64);
     let server = LocalizationServer::new(area.clone());
-    let serial = LocalizationServer::new(area.clone()).with_workers(1);
+    let cached = LocalizationServer::new(area.clone());
     let estimator = SpEstimator::new();
 
     let rounds = nomloc_bench::rounds(400);
@@ -92,7 +81,7 @@ fn paired_ratio(venue: &Venue) {
         best_uncached = best_uncached.min(t.elapsed().as_secs_f64());
 
         let t = std::time::Instant::now();
-        std::hint::black_box(serial.localize_batch(std::hint::black_box(&requests)));
+        std::hint::black_box(cached.localize_batch(std::hint::black_box(&requests)));
         best_cached = best_cached.min(t.elapsed().as_secs_f64());
     }
     println!(
@@ -102,7 +91,7 @@ fn paired_ratio(venue: &Venue) {
         best_cached * 1e6,
         best_uncached / best_cached,
     );
-    let counters = serial.stats_snapshot().counters;
+    let counters = cached.stats_snapshot().counters;
     println!(
         "serving_throughput/{}/warm_starts                {} hits over {} requests ({} phase-1 pivots saved)",
         venue.name,

@@ -103,7 +103,7 @@ fn serving_row() -> (String, f64, f64) {
     let area = venue.plan.boundary().clone();
     let requests = serving::requests_for(&venue, 64);
     let server = LocalizationServer::new(area.clone());
-    let serial = LocalizationServer::new(area.clone()).with_workers(1);
+    let serial = LocalizationServer::new(area.clone());
     let estimator = SpEstimator::new();
 
     let (uncached_ns, cached_ns) = lpcmp::paired_min_ns(

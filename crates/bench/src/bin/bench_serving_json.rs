@@ -67,16 +67,21 @@ fn run_soak(idle_target: usize, active_requests: usize) -> Option<SoakResult> {
         return None;
     }
     let mut child = std::process::Command::new(&nomloc)
-        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "2"])
+        .args(["serve", "--listen", "127.0.0.1:0"])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .ok()?;
     let addr = {
         let stdout = child.stdout.take().expect("piped stdout");
         let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("daemon announces its address");
+        let read = std::io::BufReader::new(stdout).read_line(&mut line);
+        if !matches!(read, Ok(n) if n > 0) {
+            let status = child
+                .wait()
+                .map_or_else(|e| e.to_string(), |s| s.to_string());
+            eprintln!("soak: skipped — the daemon exited before announcing its address ({status})");
+            return None;
+        }
         line.rsplit(' ')
             .next()
             .and_then(|a| a.trim().parse::<std::net::SocketAddr>().ok())
@@ -185,7 +190,7 @@ fn run_dispatch(counts: &[usize], requests_per_pass: usize) -> Vec<DispatchScale
     counts
         .iter()
         .map(|&live| {
-            let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
+            let server = LocalizationServer::new(venue.plan.boundary().clone());
             let config = nomloc_net::DaemonConfig {
                 queue_capacity: requests_per_pass.max(1024) * 2,
                 batchers: 2,
@@ -283,7 +288,7 @@ struct SessionCost {
 /// which a slow spell of the host lifts on both sides alike.
 fn run_sessions(batch: &[Vec<CsiReport>]) -> SessionCost {
     let venue = Venue::lab();
-    let server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
+    let server = LocalizationServer::new(venue.plan.boundary().clone());
     let config = nomloc_net::DaemonConfig::default();
     let handle = nomloc_net::spawn(server, config, "127.0.0.1:0").expect("spawn session daemon");
     let addr = handle.local_addr();
@@ -405,7 +410,7 @@ fn main() {
 
     let venue = Venue::lab();
     let area = venue.plan.boundary().clone();
-    let server = LocalizationServer::new(area.clone()).with_workers(1);
+    let server = LocalizationServer::new(area.clone());
     let estimator = SpEstimator::new();
     let pdp = PdpEstimator::new();
 

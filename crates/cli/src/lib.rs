@@ -129,8 +129,6 @@ pub struct ServeSpec {
     pub requests: usize,
     /// Probe packets per AP per request (synthetic mode).
     pub packets: usize,
-    /// Worker threads (`0` = one per available CPU).
-    pub workers: usize,
     /// RNG seed for the synthetic CSI workload.
     pub seed: u64,
     /// Daemon mode: the address to listen on (e.g. `127.0.0.1:4455`).
@@ -159,7 +157,6 @@ impl Default for ServeSpec {
             venue: VenueName::Lab,
             requests: 40,
             packets: 20,
-            workers: 0,
             seed: 2014,
             listen: None,
             max_batch: 32,
@@ -190,8 +187,6 @@ pub struct LoadgenSpec {
     pub seed: u64,
     /// Per-request deadline, µs (0 = none).
     pub deadline_us: u32,
-    /// Loopback daemon: worker threads (`0` = one per available CPU).
-    pub workers: usize,
     /// Extra connections opened and held idle for the whole run —
     /// exercises the event loop's mostly-idle scaling.
     pub idle_connections: usize,
@@ -223,7 +218,6 @@ impl Default for LoadgenSpec {
             packets: 4,
             seed: 2014,
             deadline_us: 0,
-            workers: 0,
             idle_connections: 0,
             venues: 0,
             zipf: 1.0,
@@ -247,8 +241,6 @@ pub struct ChaosSpec {
     /// Per-fault-class injection rate (eight classes, so the faulted
     /// fraction is roughly eight times this).
     pub rate: f64,
-    /// Loopback daemon: worker threads (`0` = one per available CPU).
-    pub workers: usize,
     /// Kill a batcher thread after every Nth batch (0 = never), proving
     /// the watchdog respawns them without losing requests.
     pub kill_every: usize,
@@ -266,7 +258,6 @@ impl Default for ChaosSpec {
             packets: 4,
             seed: 2014,
             rate: 0.03,
-            workers: 0,
             kill_every: 0,
             sessions: 0,
         }
@@ -410,7 +401,6 @@ SERVE OPTIONS:
     --venue lab|lobby|mall        venue (default lab)
     --requests N                  requests in the batch (default 40)
     --packets N                   probe packets per AP per request (default 20)
-    --workers N                   worker threads, 0 = all CPUs (default 0)
     --seed N                      workload RNG seed (default 2014)
     --listen ADDR                 run the nomloc-net daemon on ADDR
                                   (e.g. 127.0.0.1:4455; port 0 = ephemeral)
@@ -436,7 +426,6 @@ LOADGEN OPTIONS:
     --packets N                   probe packets per AP per request (default 4)
     --seed N                      workload RNG seed (default 2014)
     --deadline-us N               per-request deadline, 0 = none (default 0)
-    --workers N                   loopback daemon worker threads (default 0)
     --idle-connections N          extra connections opened and held idle
                                   for the whole run (default 0)
     --venues N                    onboard N fleet venues over the admin
@@ -464,7 +453,6 @@ CHAOS OPTIONS:
     --kill-every N                kill a batcher after every Nth batch,
                                   0 = never (default 0; watchdog respawns;
                                   1 is rejected: it would livelock)
-    --workers N                   loopback daemon worker threads (default 0)
     --sessions N                  interleave N concurrent sessions, verified
                                   by per-session tracker replay (cross-wire
                                   detection; arms the stale-session fault;
@@ -630,7 +618,6 @@ fn parse_serve(args: &[String]) -> Result<ServeSpec, ParseError> {
             "--venue" => spec.venue = parse_venue(take_value(flag, &mut it)?)?,
             "--requests" => spec.requests = parse_usize(flag, take_value(flag, &mut it)?)?,
             "--packets" => spec.packets = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
             "--seed" => {
                 spec.seed = take_value(flag, &mut it)?
                     .parse()
@@ -695,7 +682,6 @@ fn parse_loadgen(args: &[String]) -> Result<LoadgenSpec, ParseError> {
                     .parse()
                     .map_err(|_| err("flag `--deadline-us`: not an integer"))?
             }
-            "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
             "--idle-connections" => {
                 spec.idle_connections = parse_usize(flag, take_value(flag, &mut it)?)?
             }
@@ -739,7 +725,6 @@ fn parse_chaos(args: &[String]) -> Result<ChaosSpec, ParseError> {
                     ));
                 }
             }
-            "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
             "--sessions" => {
                 spec.sessions = take_value(flag, &mut it)?
                     .parse()
@@ -897,14 +882,11 @@ pub fn run_map(spec: &MapSpec) -> String {
     out
 }
 
-/// Builds the `LocalizationServer` a `serve` invocation (either mode)
-/// localizes with.
-fn serve_server(spec: &ServeSpec, venue: &Venue) -> LocalizationServer {
-    let mut server = LocalizationServer::new(venue.plan.boundary().clone());
-    if spec.workers > 0 {
-        server = server.with_workers(spec.workers);
-    }
-    server
+/// Builds the `LocalizationServer` that `serve` (either mode) and `chaos`
+/// localize with. Chaos builds two — the in-process baseline and the one
+/// inside the daemon — so bit-identity between them is meaningful.
+fn venue_server(venue: &Venue) -> LocalizationServer {
+    LocalizationServer::new(venue.plan.boundary().clone())
 }
 
 /// Serves a synthetic batch of localization requests (one per venue test
@@ -912,7 +894,7 @@ fn serve_server(spec: &ServeSpec, venue: &Venue) -> LocalizationServer {
 /// renders the outcome plus the pipeline-stats snapshot.
 pub fn run_serve(spec: &ServeSpec) -> String {
     let venue = spec.venue.venue();
-    let server = serve_server(spec, &venue);
+    let server = venue_server(&venue);
     let aps = venue.static_deployment();
     let (truths, batch) = synthetic_workload(&venue, spec.requests, spec.packets, spec.seed);
 
@@ -979,7 +961,7 @@ pub fn start_daemon(spec: &ServeSpec) -> Result<nomloc_net::DaemonHandle, String
         .as_deref()
         .ok_or("serve: daemon mode needs --listen ADDR")?;
     let venue = spec.venue.venue();
-    let server = serve_server(spec, &venue);
+    let server = venue_server(&venue);
     let config = nomloc_net::DaemonConfig {
         batchers: spec.batchers,
         max_batch: spec.max_batch,
@@ -1017,7 +999,6 @@ pub fn run_loadgen(spec: &LoadgenSpec) -> Result<String, String> {
     let loopback = if spec.connect.is_none() {
         let serve_spec = ServeSpec {
             venue: spec.venue,
-            workers: spec.workers,
             listen: Some("127.0.0.1:0".to_string()),
             ..ServeSpec::default()
         };
@@ -1089,17 +1070,6 @@ pub fn run_loadgen(spec: &LoadgenSpec) -> Result<String, String> {
     Ok(out)
 }
 
-/// Builds the `LocalizationServer` a `chaos` invocation uses — one for
-/// the in-process baseline and an identical one inside the daemon, so
-/// bit-identity between the two is meaningful.
-fn chaos_server(spec: &ChaosSpec, venue: &Venue) -> LocalizationServer {
-    let mut server = LocalizationServer::new(venue.plan.boundary().clone());
-    if spec.workers > 0 {
-        server = server.with_workers(spec.workers);
-    }
-    server
-}
-
 /// Runs a chaos campaign: spawns a loopback daemon carrying the fault
 /// plan, replays the synthetic workload through client-side fault
 /// injection, and verifies every reply against the per-fault-class
@@ -1116,7 +1086,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> Result<String, String> {
     let plan = FaultPlan::uniform(spec.seed, spec.rate);
     plan.validate().map_err(|e| format!("chaos: {e}"))?;
 
-    let baseline_server = chaos_server(spec, &venue);
+    let baseline_server = venue_server(&venue);
     let baseline: Vec<Result<WireEstimate, ErrorReply>> = batch
         .iter()
         .map(|reports| match baseline_server.process(reports) {
@@ -1133,7 +1103,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> Result<String, String> {
         kill_batcher_every: spec.kill_every as u64,
         ..nomloc_net::DaemonConfig::default()
     };
-    let handle = nomloc_net::spawn(chaos_server(spec, &venue), config, "127.0.0.1:0")
+    let handle = nomloc_net::spawn(venue_server(&venue), config, "127.0.0.1:0")
         .map_err(|e| format!("chaos: cannot bind loopback daemon: {e}"))?;
     let mut chaos_config = nomloc_net::ChaosConfig::new(plan);
     chaos_config.sessions = spec.sessions;
@@ -1364,7 +1334,7 @@ mod tests {
     #[test]
     fn serve_flags() {
         let cmd = parse(&args(
-            "serve --venue lobby --requests 12 --packets 5 --workers 2 --seed 9",
+            "serve --venue lobby --requests 12 --packets 5 --seed 9",
         ))
         .unwrap();
         assert_eq!(
@@ -1373,7 +1343,6 @@ mod tests {
                 venue: VenueName::Lobby,
                 requests: 12,
                 packets: 5,
-                workers: 2,
                 seed: 9,
                 ..ServeSpec::default()
             })
@@ -1384,6 +1353,20 @@ mod tests {
         );
         assert!(parse(&args("serve --bogus 1")).is_err());
         assert!(parse(&args("serve --requests many")).is_err());
+    }
+
+    #[test]
+    fn workers_flag_is_rejected() {
+        // Each batch is solved on the thread that pops it; there is no
+        // per-batch thread count left to set.
+        for cmd in ["serve", "loadgen", "chaos"] {
+            let e = parse(&args(&format!("{cmd} --workers 2"))).unwrap_err();
+            assert!(
+                e.to_string()
+                    .contains(&format!("unknown {cmd} flag `--workers`")),
+                "{e}"
+            );
+        }
     }
 
     #[test]
@@ -1497,7 +1480,7 @@ mod tests {
     fn loadgen_flags() {
         let cmd = parse(&args(
             "loadgen --connect 10.0.0.7:4455 --venue mall --connections 8 \
-             --requests 2000 --packets 2 --seed 7 --deadline-us 1500 --workers 3 \
+             --requests 2000 --packets 2 --seed 7 --deadline-us 1500 \
              --idle-connections 5000 \
              --venues 100 --zipf 1.2 --sessions --concurrency 6",
         ))
@@ -1512,7 +1495,6 @@ mod tests {
                 packets: 2,
                 seed: 7,
                 deadline_us: 1500,
-                workers: 3,
                 idle_connections: 5000,
                 venues: 100,
                 zipf: 1.2,
@@ -1532,7 +1514,7 @@ mod tests {
     fn chaos_flags() {
         let cmd = parse(&args(
             "chaos --venue lobby --requests 80 --packets 2 --seed 7 --rate 0.05 \
-             --kill-every 6 --workers 2 --sessions 3",
+             --kill-every 6 --sessions 3",
         ))
         .unwrap();
         assert_eq!(
@@ -1543,7 +1525,6 @@ mod tests {
                 packets: 2,
                 seed: 7,
                 rate: 0.05,
-                workers: 2,
                 kill_every: 6,
                 sessions: 3,
             })
@@ -1573,7 +1554,6 @@ mod tests {
             requests: 40,
             packets: 2,
             seed: 7,
-            workers: 2,
             kill_every: 5,
             ..ChaosSpec::default()
         })
@@ -1610,7 +1590,6 @@ mod tests {
             requests: 12,
             packets: 2,
             connections: 2,
-            workers: 2,
             ..LoadgenSpec::default()
         })
         .unwrap();
@@ -1633,7 +1612,6 @@ mod tests {
             requests: 24,
             packets: 2,
             connections: 2,
-            workers: 2,
             venues: 3,
             ..LoadgenSpec::default()
         })
@@ -1658,7 +1636,6 @@ mod tests {
         let out = run_loadgen(&LoadgenSpec {
             requests: 16,
             packets: 2,
-            workers: 2,
             venues: 3,
             concurrency: 4,
             ..LoadgenSpec::default()
@@ -1675,7 +1652,6 @@ mod tests {
     fn run_venue_admin_round_trip() {
         let handle = start_daemon(&ServeSpec {
             listen: Some("127.0.0.1:0".to_string()),
-            workers: 2,
             ..ServeSpec::default()
         })
         .expect("loopback daemon");
@@ -1709,7 +1685,6 @@ mod tests {
             venue: VenueName::Lab,
             requests: 6,
             packets: 5,
-            workers: 2,
             seed: 3,
             ..ServeSpec::default()
         });
@@ -1722,19 +1697,14 @@ mod tests {
     }
 
     #[test]
-    fn run_serve_is_deterministic_across_worker_counts() {
-        let serial = run_serve(&ServeSpec {
-            workers: 1,
+    fn run_serve_is_deterministic() {
+        let spec = ServeSpec {
             requests: 5,
             packets: 4,
             ..ServeSpec::default()
-        });
-        let parallel = run_serve(&ServeSpec {
-            workers: 4,
-            requests: 5,
-            packets: 4,
-            ..ServeSpec::default()
-        });
+        };
+        let first = run_serve(&spec);
+        let second = run_serve(&spec);
         // Error figures (lines with "mean error") must match exactly;
         // timing lines differ, so compare the error metrics only.
         let metric = |s: &str| {
@@ -1743,7 +1713,7 @@ mod tests {
                 .map(|l| l.split('|').skip(1).take(3).collect::<Vec<_>>().join("|"))
                 .unwrap()
         };
-        assert_eq!(metric(&serial), metric(&parallel));
+        assert_eq!(metric(&first), metric(&second));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * the venue geometry (convex decomposition + boundary constraints) is
 //!   precomputed once into a [`VenueCache`] at construction, so per-query
 //!   work touches only the reading-dependent constraints;
-//! * [`LocalizationServer::localize_batch`] / `process_batch` fan request
-//!   slices across scoped worker threads with index-ordered result slots —
-//!   the same deterministic fan-out discipline as `Campaign::parallel` —
-//!   so serial and parallel runs return bit-identical estimates;
+//! * [`LocalizationServer::localize_batch`] / `process_batch` solve a
+//!   batch on the calling thread, in index order, and count it once in
+//!   the batch statistics — serving parallelism comes from the daemon's
+//!   event loops and batchers, each of which solves whole batches;
 //! * a [`PipelineStats`] layer counts stage work and latency, exposed via
 //!   [`LocalizationServer::stats_snapshot`].
 
@@ -67,7 +67,6 @@ pub struct LocalizationServer {
     pdp: PdpEstimator,
     confidence: Box<dyn Confidence + Send + Sync>,
     estimator: SpEstimator,
-    workers: usize,
     degrade: bool,
     stats: Arc<PipelineStats>,
 }
@@ -78,15 +77,13 @@ impl std::fmt::Debug for LocalizationServer {
             .field("area", self.cache.area())
             .field("pdp", &self.pdp)
             .field("estimator", &self.estimator)
-            .field("workers", &self.workers)
             .finish_non_exhaustive()
     }
 }
 
 impl LocalizationServer {
     /// Creates a server for the given area of interest with default
-    /// components (paper confidence function, Chebyshev center) and one
-    /// batch worker per available CPU.
+    /// components (paper confidence function, Chebyshev center).
     ///
     /// The venue geometry is decomposed and its boundary constraints
     /// precomputed here, once.
@@ -96,7 +93,6 @@ impl LocalizationServer {
             pdp: PdpEstimator::default(),
             confidence: Box::new(PaperExp),
             estimator: SpEstimator::default(),
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             degrade: true,
             stats: Arc::new(PipelineStats::new()),
         }
@@ -132,10 +128,9 @@ impl LocalizationServer {
         self
     }
 
-    /// Sets the number of worker threads used by the batch entry points.
-    /// `0` or `1` means fully serial batches.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    // No-op kept for loadbench's `workload.rs`; goes with the benchmark's next change.
+    #[doc(hidden)]
+    pub fn with_workers(self, _: usize) -> Self {
         self
     }
 
@@ -146,13 +141,6 @@ impl LocalizationServer {
     pub fn with_degradation(mut self, degrade: bool) -> Self {
         self.degrade = degrade;
         self
-    }
-
-    /// The configured worker-thread count (see
-    /// [`LocalizationServer::with_workers`]) — the multi-venue registry
-    /// mirrors it when building per-venue servers.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The area of interest.
@@ -191,8 +179,8 @@ impl LocalizationServer {
     /// Extracts PDP readings from raw CSI reports, skipping empty bursts.
     ///
     /// PDP extraction runs against a thread-local [`PdpScratch`], so a
-    /// long-lived serving thread (a daemon batcher, or the caller itself
-    /// when `workers <= 1` keeps batches inline) processes request after
+    /// long-lived serving thread (a daemon event loop or batcher, or any
+    /// caller of the batch entry points) processes request after
     /// request with zero steady-state allocation in the DSP front-end.
     /// All bursts of a request are handed to the estimator together
     /// ([`PdpEstimator::pdp_of_bursts_with`]) so their snapshots share
@@ -364,16 +352,9 @@ impl LocalizationServer {
         self.localize(&readings)
     }
 
-    /// Localizes a batch of independent requests, fanning them across the
-    /// configured worker threads.
-    ///
-    /// Determinism: requests are assigned to index-ordered result slots —
-    /// request `i` always produces `results[i]` — and the pipeline is
-    /// RNG-free, so serial (`workers ≤ 1`) and parallel runs are
-    /// bit-identical. This mirrors the per-index fan-out discipline of
-    /// `Campaign::parallel`, where each unit of work is keyed by its index
-    /// (there, a splitmix-derived per-site seed) rather than by the thread
-    /// that happens to run it.
+    /// Localizes a batch of independent requests on the calling thread:
+    /// request `i` produces `results[i]`, bit-identical to a lone
+    /// [`LocalizationServer::localize`] call (the pipeline is RNG-free).
     pub fn localize_batch(
         &self,
         requests: &[Vec<PdpReading>],
@@ -381,8 +362,8 @@ impl LocalizationServer {
         self.run_batch(requests.len(), |i| self.localize(&requests[i]))
     }
 
-    /// Runs the full pipeline over a batch of raw CSI report sets. Same
-    /// determinism contract as [`LocalizationServer::localize_batch`].
+    /// Runs the full pipeline over a batch of raw CSI report sets, like
+    /// [`LocalizationServer::localize_batch`] does for readings.
     pub fn process_batch(
         &self,
         requests: &[Vec<CsiReport>],
@@ -390,42 +371,13 @@ impl LocalizationServer {
         self.run_batch(requests.len(), |i| self.process(&requests[i]))
     }
 
-    /// Fans `n` index-keyed jobs across scoped threads in contiguous
-    /// chunks, writing each result into its own slot.
-    fn run_batch<T, F>(&self, n: usize, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
+    /// Counts one batch of `n` requests, then runs `job` over `0..n` in
+    /// index order.
+    fn run_batch<T>(&self, n: usize, job: impl FnMut(usize) -> T) -> Vec<T> {
         if n > 0 {
             self.stats.record_batch(n as u64);
         }
-        // Fan out only when every worker gets at least two slots: spawning
-        // and joining a scoped thread costs about as much as one request's
-        // solve, so a thread per single-request chunk burns more CPU than
-        // it buys. Results are bit-identical either way (index-keyed
-        // slots, RNG-free pipeline), so the clamp is purely a scheduling
-        // decision.
-        let workers = self.workers.min(n / 2).max(1);
-        if workers <= 1 {
-            return (0..n).map(job).collect();
-        }
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let job = &job;
-            for (w, slots) in results.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (k, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(job(w * chunk + k));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("batch worker filled every slot"))
-            .collect()
+        (0..n).map(job).collect()
     }
 }
 
@@ -576,7 +528,7 @@ mod tests {
     #[test]
     fn batch_matches_serial_loop() {
         let requests: Vec<Vec<PdpReading>> = (0..17).map(request).collect();
-        let server = LocalizationServer::new(square()).with_workers(4);
+        let server = LocalizationServer::new(square());
         let batch = server.localize_batch(&requests);
         let serial: Vec<_> = requests.iter().map(|r| server.localize(r)).collect();
         assert_eq!(batch, serial);
@@ -584,21 +536,14 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let server = LocalizationServer::new(square()).with_workers(8);
+        let server = LocalizationServer::new(square());
         assert!(server.localize_batch(&[]).is_empty());
         assert!(server.process_batch(&[]).is_empty());
     }
 
     #[test]
-    fn more_workers_than_requests() {
-        let requests: Vec<Vec<PdpReading>> = (0..3).map(request).collect();
-        let server = LocalizationServer::new(square()).with_workers(64);
-        assert_eq!(server.localize_batch(&requests).len(), 3);
-    }
-
-    #[test]
     fn stats_count_requests_and_stages() {
-        let server = LocalizationServer::new(square()).with_workers(2);
+        let server = LocalizationServer::new(square());
         let requests: Vec<Vec<PdpReading>> = (0..6).map(request).collect();
         let results = server.localize_batch(&requests);
         assert!(results.iter().all(|r| r.is_ok()));

@@ -4,13 +4,14 @@
 //! (reports in, readings extracted, judgements formed, constraints built,
 //! simplex iterations, relaxations that had to pay) and tracks per-stage
 //! latency in power-of-two histograms. Everything is an [`AtomicU64`] with
-//! relaxed ordering: recording from the `localize_batch` worker threads is
-//! wait-free and the *totals* are exact regardless of interleaving — only
-//! the wall-clock histograms vary run to run.
+//! relaxed ordering: a serving daemon's event loops and batchers record
+//! into one shared instance concurrently, wait-free, and the *totals* are
+//! exact regardless of interleaving — only the wall-clock histograms vary
+//! run to run.
 //!
 //! [`PipelineStats::snapshot`] returns a plain-data [`StatsSnapshot`] whose
-//! [`CounterTotals`] half is deterministic for a deterministic workload; the
-//! batch-determinism integration test relies on that split.
+//! [`CounterTotals`] half is deterministic for a deterministic workload;
+//! the batch integration tests rely on that split.
 //!
 //! Each counter set is declared once with [`counter_set!`](crate::counter_set),
 //! which derives the plain struct, its atomic twin, snapshot, reset and the
@@ -352,9 +353,9 @@ macro_rules! counter_set {
 counter_set! {
     /// Deterministic counter totals of a [`StatsSnapshot`].
     ///
-    /// For a fixed request stream these are identical whether the server ran
-    /// serially or across `localize_batch` workers — the counters are pure
-    /// sums of per-request quantities.
+    /// For a fixed request stream these are identical however the requests
+    /// were spread over threads and batches (batch counts aside) — the
+    /// counters are pure sums of per-request quantities.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct CounterTotals {
         /// Localization requests served (one per `localize`/`process` call).
@@ -400,8 +401,9 @@ counter_set! {
         /// Individual readings rejected at the `localize` input boundary
         /// (non-finite PDP or site position).
         invalid_readings,
-        /// Batches dispatched through the batch entry points (in-process
-        /// `localize_batch`/`process_batch` calls and serving micro-batches).
+        /// Batches dispatched through the batch entry points: one per
+        /// `localize_batch`/`process_batch` call, in process or for a
+        /// serving micro-batch.
         batches_dispatched,
         /// Serving micro-batches whose requests all named the same venue —
         /// the batcher shards by venue, so under multi-venue traffic this
@@ -540,7 +542,8 @@ impl fmt::Display for StatsSnapshot {
 
 /// Wait-free counters + histograms for the serving pipeline.
 ///
-/// Shared by reference across batch workers; all methods take `&self`.
+/// Shared by reference across the threads that solve requests (a daemon's
+/// event loops and batchers); all methods take `&self`.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
     counters: Counters,

@@ -252,9 +252,10 @@ thread_local! {
 /// Runs `f` with this thread's cached plan for length `n`, building the plan
 /// on first use.
 ///
-/// The cache is thread-local, so long-lived worker threads (the daemon's
-/// batchers) amortize plan construction across every request they serve
-/// while short-lived helpers pay it at most once per size.
+/// The cache is thread-local, so long-lived serving threads (the daemon's
+/// event loops and batchers) amortize plan construction across every
+/// request they serve while short-lived helpers pay it at most once per
+/// size.
 ///
 /// # Panics
 ///

@@ -37,6 +37,11 @@
 //!   more, so batches grow only as requests pile up behind a busy batcher
 //!   — requests from *different* connections then land in the same
 //!   `LocalizationServer::process_batch` call.
+//! * **One level of parallelism**: whoever pops a batch (a batcher, or a
+//!   loop running one request to completion) solves all of it on its own
+//!   thread, so the loops and batchers are the daemon's only solving
+//!   threads and each keeps its warm thread-local PDP scratch and FFT
+//!   plans.
 //! * **Admission control**: when the plane holds `queue_capacity`
 //!   requests (a global bound across all shards), new arrivals are
 //!   answered `Overloaded` immediately instead of buffering without
@@ -265,11 +270,10 @@ pub fn spawn<A: ToSocketAddrs>(
     }
     let resident = Arc::new(server);
     let stats = resident.stats_arc();
-    let workers = resident.workers();
     let registry = Arc::new(VenueRegistry::new(
         resident,
         "resident",
-        workers,
+        1,
         config.venue_budget_bytes,
     ));
     let shared = Arc::new(Shared {

@@ -170,8 +170,6 @@ pub struct VenueRegistry {
     clock: AtomicU64,
     /// Resident-cache budget in bytes (0 = unlimited).
     budget_bytes: usize,
-    /// Worker threads per venue server (mirrors the daemon's setting).
-    workers: usize,
     /// The daemon-wide pipeline stats every venue server records into,
     /// so aggregate health counters stay meaningful across venues.
     shared_stats: Arc<PipelineStats>,
@@ -179,10 +177,12 @@ pub struct VenueRegistry {
 
 impl VenueRegistry {
     /// Builds a registry whose venue 0 is the daemon's resident server.
+    /// The third argument is ignored.
     pub fn new(
         resident: Arc<LocalizationServer>,
         name: impl Into<String>,
-        workers: usize,
+        // Unused; kept for loadbench's `trace.rs`; goes with the benchmark's next change.
+        _workers: usize,
         budget_bytes: usize,
     ) -> Self {
         let shared_stats = resident.stats_arc();
@@ -209,7 +209,6 @@ impl VenueRegistry {
             slot: Mutex::new(Arc::new(map)),
             clock: AtomicU64::new(0),
             budget_bytes,
-            workers,
             shared_stats,
         }
     }
@@ -284,11 +283,7 @@ impl VenueRegistry {
             .collect();
         let localizability = Arc::new(localizability::analyze(&area, &aps, LOCALIZABILITY_PITCH_M));
         Ok((
-            Arc::new(
-                LocalizationServer::new(area)
-                    .with_workers(self.workers)
-                    .with_stats(Arc::clone(&self.shared_stats)),
-            ),
+            Arc::new(LocalizationServer::new(area).with_stats(Arc::clone(&self.shared_stats))),
             localizability,
         ))
     }

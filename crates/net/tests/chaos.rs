@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 fn lab_server() -> LocalizationServer {
-    LocalizationServer::new(Venue::lab().plan.boundary().clone()).with_workers(1)
+    LocalizationServer::new(Venue::lab().plan.boundary().clone())
 }
 
 /// A realistic workload: each request carries one CSI report per static

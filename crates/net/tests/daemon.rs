@@ -23,7 +23,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn lab_server() -> LocalizationServer {
-    LocalizationServer::new(Venue::lab().plan.boundary().clone()).with_workers(1)
+    LocalizationServer::new(Venue::lab().plan.boundary().clone())
 }
 
 /// A structurally and semantically valid request whose reports carry empty

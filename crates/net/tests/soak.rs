@@ -35,7 +35,7 @@ fn rss_bytes() -> Option<u64> {
 }
 
 fn lab_server() -> LocalizationServer {
-    LocalizationServer::new(Venue::lab().plan.boundary().clone()).with_workers(2)
+    LocalizationServer::new(Venue::lab().plan.boundary().clone())
 }
 
 /// Cheap-but-valid requests (empty bursts → boundary-only solves): the

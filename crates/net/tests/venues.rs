@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use std::net::TcpStream;
 
 fn resident_server(venue: &Venue) -> LocalizationServer {
-    LocalizationServer::new(venue.plan.boundary().clone()).with_workers(1)
+    LocalizationServer::new(venue.plan.boundary().clone())
 }
 
 /// Sends one locate request for `venue_id` and reads its reply.

@@ -89,10 +89,10 @@ fn loopback_loadgen_matches_in_process_bit_for_bit() {
 
     // The reference run: a second server instance, same venue geometry,
     // solving the identical batch in this process.
-    let reference = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
+    let reference = LocalizationServer::new(venue.plan.boundary().clone());
     let expected = reference.process_batch(&batch);
 
-    let daemon_server = LocalizationServer::new(venue.plan.boundary().clone()).with_workers(2);
+    let daemon_server = LocalizationServer::new(venue.plan.boundary().clone());
     let handle = spawn(daemon_server, DaemonConfig::default(), "127.0.0.1:0")
         .expect("spawn loopback daemon");
 
