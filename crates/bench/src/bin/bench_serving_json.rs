@@ -1,6 +1,7 @@
 //! Machine-readable end-to-end serving benchmark: stage-attributed
 //! ns-per-request through the full daemon pipeline (decode → PDP →
-//! constraints → LP → encode), plus paired comparisons of the planned FFT
+//! constraints → LP → encode), the frame CRC's cost per KiB, plus paired
+//! comparisons of the planned FFT
 //! against the retained iterative kernel, a reused against a fresh encode
 //! buffer, and the zero-allocation pipeline against a faithful replica
 //! of the pre-plan allocating path. Written as `BENCH_serving.json` (in
@@ -19,6 +20,7 @@ use nomloc_core::scenario::{synthetic_workload, Venue};
 use nomloc_core::server::CsiReport;
 use nomloc_core::{ApSite, LocalizationServer, PdpEstimator, PdpScratch, SpEstimator};
 use nomloc_dsp::{fft, Complex};
+use nomloc_net::crc32::crc32;
 use nomloc_net::wire::{
     self, ErrorCode, ErrorReply, Frame, LocateRequest, LocateResponse, WireEstimate, WireReport,
     WireVenue,
@@ -472,6 +474,31 @@ fn main() {
         response_frames.iter().for_each(&mut encode_reused)
     }) / n;
 
+    // --- Frame CRC over one dense request's payload (4 APs × 16 packets,
+    // the `lab-dense` loadbench shape): the checksum both decode and
+    // encode pay per frame, in ns per KiB. check.sh gates it against the
+    // committed figure, so a host that silently falls back from the
+    // carry-less-multiply kernel to slicing-by-8 (about 15× slower)
+    // fails the run.
+    let dense_frame = wire::frame_to_vec(&Frame::LocateRequest(LocateRequest {
+        request_id: 0,
+        deadline_us: 0,
+        venue_id: 0,
+        session_id: 0,
+        reports: workload(1, 16)[0]
+            .iter()
+            .map(WireReport::from_core)
+            .collect(),
+    }));
+    let crc_payload = &dense_frame[wire::HEADER_LEN..];
+    let crc_ns = min_ns(rounds(300), || {
+        for _ in 0..16 {
+            black_box(crc32(black_box(crc_payload)));
+        }
+    }) / 16.0;
+    let crc_payload_bytes = crc_payload.len();
+    let crc_ns_per_kib = crc_ns * 1024.0 / crc_payload_bytes as f64;
+
     // --- Planned vs iterative FFT kernel, 256-point (the default
     // serving transform size for Intel 5300 CSI padded to 256 taps).
     let template: Vec<Complex> = (0..256)
@@ -671,12 +698,16 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"requests\": {n_requests},\n  \"stages\": {{\"decode_ns_per_request\": {decode_ns:.1}, \"pdp_ns_per_request\": {pdp_ns:.1}, \"constraints_ns_per_request\": {constraints_ns:.1}, \"lp_ns_per_request\": {lp_ns:.1}, \"encode_ns_per_request\": {encode_ns:.1}}},\n  \"fft\": {{\"points\": 256, \"planned_ns\": {fft_planned_ns:.1}, \"naive_ns\": {fft_naive_ns:.1}, \"speedup\": {fft_speedup:.4}}},\n  \"pdp_batched\": {{\"batched_ns_per_request\": {pdp_batched_ns:.1}, \"per_packet_ns_per_request\": {pdp_per_packet_ns:.1}, \"speedup\": {pdp_batched_speedup:.4}, \"ratio\": {pdp_batched_ratio:.4}}},\n  \"pdp_64\": {{\"planned_ns_per_burst\": {pdp64_planned_ns:.1}, \"unplanned_ns_per_burst\": {pdp64_naive_ns:.1}, \"speedup\": {pdp64_speedup:.4}}},\n  \"encode\": {{\"reused_ns_per_reply\": {encode_reused_ns:.1}, \"fresh_ns_per_reply\": {encode_fresh_ns:.1}, \"speedup\": {encode_speedup:.4}}},\n  \"end_to_end\": {{\"optimized_ns_per_request\": {e2e_optimized_ns:.1}, \"naive_ns_per_request\": {e2e_naive_ns:.1}, \"speedup\": {e2e_speedup:.4}}},\n  \"soak\": {soak_json},\n  \"dispatch\": {dispatch_json},\n  \"sessions\": {sessions_json}\n}}\n"
+        "{{\n  \"requests\": {n_requests},\n  \"crc\": {{\"payload_bytes\": {crc_payload_bytes}, \"ns_per_kib\": {crc_ns_per_kib:.2}}},\n  \"stages\": {{\"decode_ns_per_request\": {decode_ns:.1}, \"pdp_ns_per_request\": {pdp_ns:.1}, \"constraints_ns_per_request\": {constraints_ns:.1}, \"lp_ns_per_request\": {lp_ns:.1}, \"encode_ns_per_request\": {encode_ns:.1}}},\n  \"fft\": {{\"points\": 256, \"planned_ns\": {fft_planned_ns:.1}, \"naive_ns\": {fft_naive_ns:.1}, \"speedup\": {fft_speedup:.4}}},\n  \"pdp_batched\": {{\"batched_ns_per_request\": {pdp_batched_ns:.1}, \"per_packet_ns_per_request\": {pdp_per_packet_ns:.1}, \"speedup\": {pdp_batched_speedup:.4}, \"ratio\": {pdp_batched_ratio:.4}}},\n  \"pdp_64\": {{\"planned_ns_per_burst\": {pdp64_planned_ns:.1}, \"unplanned_ns_per_burst\": {pdp64_naive_ns:.1}, \"speedup\": {pdp64_speedup:.4}}},\n  \"encode\": {{\"reused_ns_per_reply\": {encode_reused_ns:.1}, \"fresh_ns_per_reply\": {encode_fresh_ns:.1}, \"speedup\": {encode_speedup:.4}}},\n  \"end_to_end\": {{\"optimized_ns_per_request\": {e2e_optimized_ns:.1}, \"naive_ns_per_request\": {e2e_naive_ns:.1}, \"speedup\": {e2e_speedup:.4}}},\n  \"soak\": {soak_json},\n  \"dispatch\": {dispatch_json},\n  \"sessions\": {sessions_json}\n}}\n"
     );
 
     println!(
         "serving stages (ns/request): decode {decode_ns:.0} | pdp {pdp_ns:.0} | \
          constraints {constraints_ns:.0} | lp {lp_ns:.0} | encode {encode_ns:.0}"
+    );
+    println!(
+        "crc32: {crc_ns:.0} ns per {crc_payload_bytes}-byte dense request payload \
+         ({crc_ns_per_kib:.2} ns/KiB)"
     );
     println!(
         "fft 256-pt: planned {fft_planned_ns:.1} ns, naive {fft_naive_ns:.1} ns — \

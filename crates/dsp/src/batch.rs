@@ -11,18 +11,27 @@
 //! split [`SoaComplex`] buffer (sample `i` of lane `l` at `i * lanes + l`)
 //! and executes **one** traversal of the swap pairs and twiddle tables,
 //! with every butterfly applied to all lanes via contiguous per-lane inner
-//! loops that the compiler autovectorizes (packed `vmulpd`/`vfmadd` under
-//! `-C target-cpu=native`; see `scripts/asm_check.sh`).
+//! loops that the compiler autovectorizes.
+//!
+//! The kernel is chosen at run time: on an x86-64 host with AVX2 the
+//! lane-count dispatch runs inside the crate's one AVX2 wrapper, where
+//! the lane loops compile to packed 256-bit `vmulpd`/`vaddpd` (four lanes
+//! per instruction); elsewhere the same source runs as the baseline
+//! build, two lanes per SSE2 instruction. The workspace passes no
+//! `-C target-cpu`, so this check is what puts the wider units to work in
+//! the shipped binary (`scripts/asm_check.sh` inspects that build).
 //!
 //! Per lane the kernel performs *exactly* the floating-point operations of
 //! [`FftPlan::process`] in the same order — lanes are mutually
-//! independent, so vectorizing across them is a pure reordering of
-//! independent IEEE-754 operations — which makes every batched result
-//! bit-identical to running the per-packet planned kernel on that lane
-//! alone. The per-packet kernel is therefore retained unchanged as the
-//! bit-identity oracle (see `crates/dsp/tests/batch.rs`).
+//! independent, so vectorizing across them, at either width, is a pure
+//! reordering of independent IEEE-754 operations — which makes every
+//! batched result bit-identical to running the per-packet planned kernel
+//! on that lane alone. The per-packet kernel is therefore retained
+//! unchanged as the bit-identity oracle (see `crates/dsp/tests/batch.rs`),
+//! and this module's tests compare the AVX2 and baseline builds directly.
 
 use crate::plan::FftPlan;
+use crate::simd::{self, Kernel};
 use crate::soa::SoaComplex;
 use crate::Complex;
 use std::rc::Rc;
@@ -83,6 +92,50 @@ fn bf<const L: usize>(
 fn scale_row<const L: usize>(r: &mut [f64; L], s: f64) {
     for v in r.iter_mut() {
         *v *= s;
+    }
+}
+
+/// One block of a fused radix-2² pass, held in registers: the eight lane
+/// rows `[a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im]` are copied
+/// into locals, stage `len` pairs (a, b) and (c, d) with `w1` (the
+/// twiddle-free butterfly when `None`), stage `2·len` pairs (a, c) with
+/// `w2.0` and (b, d) with `w2.1`, the optional scale is applied, and each
+/// row is stored back once.
+///
+/// Working on locals keeps the first stage's results out of memory. The
+/// rows of one block sit a power-of-two stride apart, so storing them
+/// between the stages and loading them straight back stalls on false
+/// store-to-load dependencies (4 KiB aliasing), the more so at 256-bit
+/// width. Per lane the float ops and their order are those of
+/// [`bf2`]/[`bf`] and [`scale_row`], so results are unchanged.
+#[inline(always)]
+fn quad<const L: usize>(
+    rows: [&mut [f64]; 8],
+    w1: Option<Complex>,
+    w2: (Complex, Complex),
+    scale: Option<f64>,
+) {
+    let mut v: [[f64; L]; 8] = std::array::from_fn(|k| *row::<L>(&mut *rows[k]));
+    let [ar, ai, br, bi, cr, ci, dr, di] = &mut v;
+    match w1 {
+        Some(w) => {
+            bf::<L>(ar, ai, br, bi, w);
+            bf::<L>(cr, ci, dr, di, w);
+        }
+        None => {
+            bf2::<L>(ar, ai, br, bi);
+            bf2::<L>(cr, ci, dr, di);
+        }
+    }
+    bf::<L>(ar, ai, cr, ci, w2.0);
+    bf::<L>(br, bi, dr, di, w2.1);
+    if let Some(s) = scale {
+        for r in v.iter_mut() {
+            scale_row::<L>(r, s);
+        }
+    }
+    for (dst, src) in rows.into_iter().zip(&v) {
+        *row::<L>(dst) = *src;
     }
 }
 
@@ -246,6 +299,18 @@ impl BatchFftPlan {
         scale: Option<f64>,
         prepermuted: bool,
     ) {
+        simd::run(self.transform(buf, lanes, inverse, scale, prepermuted));
+    }
+
+    /// Validates a batch and binds it to this plan's tables.
+    fn transform<'a>(
+        &'a self,
+        buf: &'a mut SoaComplex,
+        lanes: usize,
+        inverse: bool,
+        scale: Option<f64>,
+        prepermuted: bool,
+    ) -> Transform<'a> {
         let n = self.plan.len();
         assert!(lanes > 0, "batch must have at least one lane");
         assert_eq!(
@@ -253,44 +318,14 @@ impl BatchFftPlan {
             n * lanes,
             "buffer length must match plan size × lanes"
         );
-        if n <= 1 {
-            // Trivial transforms still get the scalar kernel's `*= 1/N`
-            // pass (a no-op multiply by 1.0 when n == 1).
-            if let Some(s) = scale {
-                for v in buf.re.iter_mut() {
-                    *v *= s;
-                }
-                for v in buf.im.iter_mut() {
-                    *v *= s;
-                }
-            }
-            return;
-        }
-        let re = buf.re.as_mut_slice();
-        let im = buf.im.as_mut_slice();
-        let table = self.plan.twiddles(inverse);
-        let swaps: &[(u32, u32)] = if prepermuted { &[] } else { self.plan.swaps() };
-        // Dispatch on the lane count: each arm monomorphizes the kernel
-        // with the lane width as a `const`, so every lane loop runs over
-        // `&mut [f64; L]` — compile-time trip counts and bounds, which
-        // LLVM unrolls into straight packed instructions with no
-        // per-butterfly trip-count checks, remainder loops, or runtime
-        // aliasing guards (a dynamic `lanes` pays vector-loop entry
-        // overhead comparable to the butterfly's own arithmetic). The
-        // serving hot path batches 8 lanes (4 APs × 2 packets) and chunks
-        // larger bursts at 16, so those widths matter most; small burst
-        // sizes get arms too because `pdp_of_burst` batches at the burst
-        // length.
-        match lanes {
-            2 => Self::kernel::<2>(re, im, swaps, table, n, scale),
-            3 => Self::kernel::<3>(re, im, swaps, table, n, scale),
-            4 => Self::kernel::<4>(re, im, swaps, table, n, scale),
-            5 => Self::kernel::<5>(re, im, swaps, table, n, scale),
-            6 => Self::kernel::<6>(re, im, swaps, table, n, scale),
-            7 => Self::kernel::<7>(re, im, swaps, table, n, scale),
-            8 => Self::kernel::<8>(re, im, swaps, table, n, scale),
-            16 => Self::kernel::<16>(re, im, swaps, table, n, scale),
-            l => Self::kernel_dyn(re, im, l, swaps, table, n, scale),
+        Transform {
+            re: buf.re.as_mut_slice(),
+            im: buf.im.as_mut_slice(),
+            lanes,
+            swaps: if prepermuted { &[] } else { self.plan.swaps() },
+            table: self.plan.twiddles(inverse),
+            n,
+            scale,
         }
     }
 
@@ -309,7 +344,9 @@ impl BatchFftPlan {
     /// performs — bit-identical, one traversal cheaper).
     ///
     /// Per lane the float op order is exactly [`FftPlan::process`], which
-    /// the bit-identity tests pin down.
+    /// the bit-identity tests pin down. `#[inline(always)]` so that each
+    /// build of [`Transform`] gets its own copy.
+    #[inline(always)]
     fn kernel<const L: usize>(
         re: &mut [f64],
         im: &mut [f64],
@@ -344,24 +381,12 @@ impl BatchFftPlan {
                 let (a_im, b_im) = h0_im.split_at_mut(L);
                 let (c_re, d_re) = h1_re.split_at_mut(L);
                 let (c_im, d_im) = h1_im.split_at_mut(L);
-                let (ar, ai) = (row::<L>(a_re), row::<L>(a_im));
-                let (br, bi) = (row::<L>(b_re), row::<L>(b_im));
-                let (cr, ci) = (row::<L>(c_re), row::<L>(c_im));
-                let (dr, di) = (row::<L>(d_re), row::<L>(d_im));
-                bf2::<L>(ar, ai, br, bi);
-                bf2::<L>(cr, ci, dr, di);
-                bf::<L>(ar, ai, cr, ci, w20);
-                bf::<L>(br, bi, dr, di, w21);
-                if let Some(s) = pass_scale {
-                    scale_row::<L>(ar, s);
-                    scale_row::<L>(ai, s);
-                    scale_row::<L>(br, s);
-                    scale_row::<L>(bi, s);
-                    scale_row::<L>(cr, s);
-                    scale_row::<L>(ci, s);
-                    scale_row::<L>(dr, s);
-                    scale_row::<L>(di, s);
-                }
+                quad::<L>(
+                    [a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im],
+                    None,
+                    (w20, w21),
+                    pass_scale,
+                );
             }
             len = 8;
         } else {
@@ -416,25 +441,12 @@ impl BatchFftPlan {
                             .zip(tw1)
                             .zip(tw2a.iter().zip(tw2b))
                     {
-                        let (ar, ai) = (row::<L>(a_re), row::<L>(a_im));
-                        let (br, bi) = (row::<L>(b_re), row::<L>(b_im));
-                        let (cr, ci) = (row::<L>(c_re), row::<L>(c_im));
-                        let (dr, di) = (row::<L>(d_re), row::<L>(d_im));
-                        let (w2a, w2b) = w2;
-                        bf::<L>(ar, ai, br, bi, *w1);
-                        bf::<L>(cr, ci, dr, di, *w1);
-                        bf::<L>(ar, ai, cr, ci, *w2a);
-                        bf::<L>(br, bi, dr, di, *w2b);
-                        if let Some(s) = pass_scale {
-                            scale_row::<L>(ar, s);
-                            scale_row::<L>(ai, s);
-                            scale_row::<L>(br, s);
-                            scale_row::<L>(bi, s);
-                            scale_row::<L>(cr, s);
-                            scale_row::<L>(ci, s);
-                            scale_row::<L>(dr, s);
-                            scale_row::<L>(di, s);
-                        }
+                        quad::<L>(
+                            [a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im],
+                            Some(*w1),
+                            (*w2.0, *w2.1),
+                            pass_scale,
+                        );
                     }
                 }
                 len <<= 2;
@@ -478,6 +490,7 @@ impl BatchFftPlan {
     /// (single-stage passes and dynamic trip counts, so this path is
     /// correct but not specialized; `scale` runs as the scalar kernel's
     /// separate trailing pass, which is equally bit-identical).
+    #[inline(always)]
     fn kernel_dyn(
         re: &mut [f64],
         im: &mut [f64],
@@ -589,6 +602,68 @@ impl BatchFftPlan {
     }
 }
 
+/// One validated batched transform: the buffer halves and the plan
+/// tables it runs over, as a [`Kernel`] built for both the baseline
+/// target and AVX2.
+struct Transform<'a> {
+    re: &'a mut [f64],
+    im: &'a mut [f64],
+    lanes: usize,
+    swaps: &'a [(u32, u32)],
+    table: &'a [Complex],
+    n: usize,
+    scale: Option<f64>,
+}
+
+impl Kernel for Transform<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Transform {
+            re,
+            im,
+            lanes,
+            swaps,
+            table,
+            n,
+            scale,
+        } = self;
+        if n <= 1 {
+            // Trivial transforms still get the scalar kernel's `*= 1/N`
+            // pass (a no-op multiply by 1.0 when n == 1).
+            if let Some(s) = scale {
+                for v in re.iter_mut().chain(im.iter_mut()) {
+                    *v *= s;
+                }
+            }
+            return;
+        }
+        // Dispatch on the lane count: each arm monomorphizes the kernel
+        // with the lane width as a `const`, so every lane loop runs over
+        // `&mut [f64; L]` — compile-time trip counts and bounds, which
+        // LLVM unrolls into straight packed instructions with no
+        // per-butterfly trip-count checks, remainder loops, or runtime
+        // aliasing guards (a dynamic `lanes` pays vector-loop entry
+        // overhead comparable to the butterfly's own arithmetic). The
+        // serving hot path batches 8 lanes (4 APs × 2 packets) and chunks
+        // larger bursts at 16, so those widths matter most; small burst
+        // sizes get arms too because `pdp_of_burst` batches at the burst
+        // length.
+        match lanes {
+            2 => BatchFftPlan::kernel::<2>(re, im, swaps, table, n, scale),
+            3 => BatchFftPlan::kernel::<3>(re, im, swaps, table, n, scale),
+            4 => BatchFftPlan::kernel::<4>(re, im, swaps, table, n, scale),
+            5 => BatchFftPlan::kernel::<5>(re, im, swaps, table, n, scale),
+            6 => BatchFftPlan::kernel::<6>(re, im, swaps, table, n, scale),
+            7 => BatchFftPlan::kernel::<7>(re, im, swaps, table, n, scale),
+            8 => BatchFftPlan::kernel::<8>(re, im, swaps, table, n, scale),
+            16 => BatchFftPlan::kernel::<16>(re, im, swaps, table, n, scale),
+            l => BatchFftPlan::kernel_dyn(re, im, l, swaps, table, n, scale),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,6 +706,54 @@ mod tests {
                         plan.process(&mut expect, inverse);
                         soa.read_lane_into(l, lanes, &mut lane_out);
                         assert_eq!(lane_out, expect, "n={n} lanes={lanes} lane={l}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_build_matches_baseline_build_bit_for_bit() {
+        // Every monomorphized lane arm (2–8, 16), the dynamic arm (1, 9
+        // and 12 lanes), every transform length from 2 to 512, both
+        // directions, with and without the swap pass and the fused 1/N.
+        for lanes in [1usize, 2, 3, 4, 5, 6, 7, 8, 16, 9, 12] {
+            for log2 in 1..=9 {
+                let n = 1usize << log2;
+                let rows: Vec<Vec<Complex>> = (0..lanes).map(|l| signal(n, l)).collect();
+                let batch = BatchFftPlan::new(n);
+                for inverse in [false, true] {
+                    for scale in [None, Some(1.0 / n as f64)] {
+                        for prepermuted in [false, true] {
+                            let mut baseline = pack(&rows);
+                            simd::portable(batch.transform(
+                                &mut baseline,
+                                lanes,
+                                inverse,
+                                scale,
+                                prepermuted,
+                            ));
+                            let mut wide = pack(&rows);
+                            if simd::avx2(batch.transform(
+                                &mut wide,
+                                lanes,
+                                inverse,
+                                scale,
+                                prepermuted,
+                            ))
+                            .is_err()
+                            {
+                                return; // no AVX2 on this host: one build only
+                            }
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            let what = format!(
+                                "lanes {lanes} n {n} inverse {inverse} scale {scale:?} \
+                                 prepermuted {prepermuted}"
+                            );
+                            assert_eq!(bits(&wide.re), bits(&baseline.re), "re, {what}");
+                            assert_eq!(bits(&wide.im), bits(&baseline.im), "im, {what}");
+                        }
                     }
                 }
             }

@@ -8,6 +8,7 @@
 //! maximum tap power (§IV-A).
 
 use crate::batch::BatchFftPlan;
+use crate::simd::{self, Kernel};
 use crate::soa::SoaComplex;
 use crate::{fft, Complex};
 
@@ -152,8 +153,10 @@ impl DelayProfile {
     ///
     /// Bit-identical per lane to the scalar path: the batched kernel
     /// performs the scalar kernel's float ops in the same per-lane order,
-    /// and the fold uses the same `(h · gain)` norm and `total_cmp`
-    /// tie-break (later ties win).
+    /// and the fold takes the same `total_cmp` maximum of the same
+    /// `(h · gain)` norms (branch-free, and built for AVX2 where the host
+    /// has it; a `total_cmp` maximum is one bit pattern however it is
+    /// reached).
     ///
     /// # Panics
     ///
@@ -179,7 +182,7 @@ impl DelayProfile {
     /// rows were scattered straight into bit-reversed positions via
     /// [`BatchFftPlan::scatter_lane`]: the inverse transform skips the
     /// swap traversal ([`BatchFftPlan::inverse_prepermuted`]), everything
-    /// else — gain, fold order, tie-break — is identical, so the peaks
+    /// else — gain, norm, `total_cmp` maximum — is identical, so the peaks
     /// stay bit-identical to the scalar path.
     ///
     /// # Panics
@@ -202,8 +205,7 @@ impl DelayProfile {
     }
 
     /// Shared gain + per-lane running-maximum fold over a transformed
-    /// batch (taps walked row-major, so per lane the visit order matches
-    /// the scalar fold exactly).
+    /// batch, run in the host's widest vector build (see [`PeakFold`]).
     fn fold_batch_peaks(
         plan: &BatchFftPlan,
         buf: &SoaComplex,
@@ -211,29 +213,13 @@ impl DelayProfile {
         csi_len: usize,
         out: &mut Vec<f64>,
     ) {
-        let gain = plan.len() as f64 / csi_len as f64;
-        out.clear();
-        // Tap 0 initializes each lane's running maximum…
-        for lane in 0..lanes {
-            let sr = buf.re[lane] * gain;
-            let si = buf.im[lane] * gain;
-            out.push(sr * sr + si * si);
-        }
-        // …and taps 1.. fold in row-major order: per lane this visits taps
-        // in exactly the order the scalar fold does.
-        for i in 1..plan.len() {
-            let base = i * lanes;
-            let row_re = &buf.re[base..base + lanes];
-            let row_im = &buf.im[base..base + lanes];
-            for ((best, &re), &im) in out.iter_mut().zip(row_re).zip(row_im) {
-                let sr = re * gain;
-                let si = im * gain;
-                let power = sr * sr + si * si;
-                if power.total_cmp(best) != std::cmp::Ordering::Less {
-                    *best = power;
-                }
-            }
-        }
+        simd::run(PeakFold {
+            re: &buf.re,
+            im: &buf.im,
+            lanes,
+            gain: plan.len() as f64 / csi_len as f64,
+            out,
+        });
     }
 
     /// Number of delay taps.
@@ -360,6 +346,76 @@ impl DelayProfile {
     }
 }
 
+/// `f64::total_cmp`'s sort key: the bits as an `i64`, with the magnitude
+/// bits flipped for negative values, so that integer order is
+/// `total_cmp` order.
+#[inline(always)]
+fn order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The `total_cmp` maximum of `best` and `x`, `x` winning ties: the
+/// branchy fold `if x.total_cmp(&best) != Less { best = x }` as a
+/// compare and a select, which vectorize across lanes. `total_cmp` is a
+/// total order and its ties are equal bit patterns, so the maximum of a
+/// set is one bit pattern whatever the visit order or tie-break.
+#[inline(always)]
+fn max_total(best: f64, x: f64) -> f64 {
+    if order_key(x) >= order_key(best) {
+        x
+    } else {
+        best
+    }
+}
+
+/// The per-lane peak fold over a transformed batch: tap `i` of lane `l`
+/// is `(re, im)[i * lanes + l]`, its power is `(h · gain)`'s norm, and
+/// `out[l]` becomes the `total_cmp` maximum of lane `l`'s powers. Taps are
+/// walked row-major, so per lane the visit order matches the scalar fold
+/// of [`DelayProfile::peak_power_from_csi_with`], and each power is the
+/// same expression, so the peaks are bit-identical to it. A [`Kernel`],
+/// built for both the baseline target and AVX2.
+struct PeakFold<'a> {
+    re: &'a [f64],
+    im: &'a [f64],
+    lanes: usize,
+    gain: f64,
+    out: &'a mut Vec<f64>,
+}
+
+impl Kernel for PeakFold<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let PeakFold {
+            re,
+            im,
+            lanes,
+            gain,
+            out,
+        } = self;
+        let power = |re: f64, im: f64| {
+            let sr = re * gain;
+            let si = im * gain;
+            sr * sr + si * si
+        };
+        let mut rows = re.chunks_exact(lanes).zip(im.chunks_exact(lanes));
+        out.clear();
+        // Tap 0 initializes each lane's running maximum…
+        if let Some((re0, im0)) = rows.next() {
+            out.extend(re0.iter().zip(im0).map(|(&re, &im)| power(re, im)));
+        }
+        // …and taps 1.. fold in.
+        for (row_re, row_im) in rows {
+            for ((best, &re), &im) in out.iter_mut().zip(row_re).zip(row_im) {
+                *best = max_total(*best, power(re, im));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,6 +488,165 @@ mod tests {
                 let scalar =
                     DelayProfile::peak_power_from_csi_with(row, bw, min_taps, &mut scratch);
                 assert_eq!(peaks[l], scalar, "n={n} min_taps={min_taps} lane={l}");
+            }
+        }
+    }
+
+    /// Bit patterns across `total_cmp`'s whole order: NaNs of both signs
+    /// with quiet and signaling payloads, infinities, ±0, subnormals and
+    /// normals.
+    fn special_values() -> Vec<f64> {
+        [
+            0xFFF8_0000_0000_0003u64, // −qNaN, payload 3
+            0xFFF0_0000_0000_0004,    // −sNaN, payload 4
+            0xFFF0_0000_0000_0000,    // −∞
+            0xC000_0000_0000_0000,    // −2
+            0x8000_0000_0000_0001,    // −smallest subnormal
+            0x8000_0000_0000_0000,    // −0
+            0x0000_0000_0000_0000,    // +0
+            0x0000_0000_0000_0001,    // smallest subnormal
+            0x000F_FFFF_FFFF_FFFF,    // largest subnormal
+            0x3FF0_0000_0000_0000,    // 1
+            0x7FEF_FFFF_FFFF_FFFF,    // largest finite
+            0x7FF0_0000_0000_0000,    // +∞
+            0x7FF0_0000_0000_0002,    // +sNaN, payload 2
+            0x7FF8_0000_0000_0001,    // +qNaN, payload 1
+        ]
+        .into_iter()
+        .map(f64::from_bits)
+        .collect()
+    }
+
+    /// The branchy fold the batched kernel replaced: later ties win.
+    fn scalar_total_cmp_fold(values: &[f64]) -> f64 {
+        let mut best = values[0];
+        for &x in &values[1..] {
+            if x.total_cmp(&best) != std::cmp::Ordering::Less {
+                best = x;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn branch_free_max_matches_total_cmp_fold_on_special_values() {
+        let values = special_values();
+        // Every ordered pair…
+        for &a in &values {
+            for &b in &values {
+                let expect = scalar_total_cmp_fold(&[a, b]);
+                assert_eq!(
+                    max_total(a, b).to_bits(),
+                    expect.to_bits(),
+                    "{:#x} then {:#x}",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
+        // …and seeded sequences with repeats, in scrambled orders.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in 1..=40 {
+            let seq: Vec<f64> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    values[(state % values.len() as u64) as usize]
+                })
+                .collect();
+            let folded = seq[1..].iter().fold(seq[0], |best, &x| max_total(best, x));
+            assert_eq!(
+                folded.to_bits(),
+                scalar_total_cmp_fold(&seq).to_bits(),
+                "sequence {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn peak_fold_builds_match_scalar_fold_on_special_values() {
+        // Tap components drawn from ±0, subnormals, values whose squares
+        // underflow to subnormals or overflow to +∞, ±∞ and NaNs with
+        // payloads. At most one component of a tap is a NaN, so each
+        // power's NaN payload is fixed by the arithmetic, not by the
+        // order of a multiply's operands.
+        let pool: Vec<f64> = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            1e-160,
+            -3e-155,
+            0.75,
+            -2.5,
+            1e200,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]
+        .to_vec();
+        let nans = [
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0xFFF8_0000_0000_0003),
+            f64::from_bits(0x7FF0_0000_0000_0002),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |k: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % k as u64) as usize
+        };
+        for lanes in 1..=17 {
+            for taps in [1usize, 2, 3, 8, 33] {
+                for gain in [1.0, 3.5] {
+                    let mut re = Vec::with_capacity(taps * lanes);
+                    let mut im = Vec::with_capacity(taps * lanes);
+                    for _ in 0..taps * lanes {
+                        let (mut r, mut i) = (pool[draw(pool.len())], pool[draw(pool.len())]);
+                        match draw(8) {
+                            0 => r = nans[draw(nans.len())],
+                            1 => i = nans[draw(nans.len())],
+                            _ => {}
+                        }
+                        re.push(r);
+                        im.push(i);
+                    }
+                    let expect: Vec<u64> = (0..lanes)
+                        .map(|l| {
+                            let powers: Vec<f64> = (0..taps)
+                                .map(|t| {
+                                    let sr = re[t * lanes + l] * gain;
+                                    let si = im[t * lanes + l] * gain;
+                                    sr * sr + si * si
+                                })
+                                .collect();
+                            scalar_total_cmp_fold(&powers).to_bits()
+                        })
+                        .collect();
+                    let what = format!("lanes {lanes} taps {taps} gain {gain}");
+                    let mut out = Vec::new();
+                    simd::portable(PeakFold {
+                        re: &re,
+                        im: &im,
+                        lanes,
+                        gain,
+                        out: &mut out,
+                    });
+                    let bits: Vec<u64> = out.iter().map(|p| p.to_bits()).collect();
+                    assert_eq!(bits, expect, "baseline build, {what}");
+                    let wide = PeakFold {
+                        re: &re,
+                        im: &im,
+                        lanes,
+                        gain,
+                        out: &mut out,
+                    };
+                    if simd::avx2(wide).is_ok() {
+                        let bits: Vec<u64> = out.iter().map(|p| p.to_bits()).collect();
+                        assert_eq!(bits, expect, "AVX2 build, {what}");
+                    }
+                }
             }
         }
     }

@@ -44,10 +44,12 @@
 //! deterministic by construction — returns byte-identical estimates over
 //! the network and in process. The loopback integration test pins that.
 
-// `deny` instead of `forbid` for one reason: the event loop's
-// readiness layer needs four libc symbols std does not re-export. All
-// `unsafe` lives in the tiny `sys` module of `poll.rs` (explicitly
-// `allow`ed there); everything else in the crate still refuses it.
+// `deny` instead of `forbid` for two reasons: the event loop's
+// readiness layer needs four libc symbols std does not re-export, and the
+// CRC's carry-less-multiply kernel needs target-feature calls. All
+// `unsafe` lives in the tiny `sys` module of `poll.rs` and the `clmul`
+// module of `crc32.rs` (explicitly `allow`ed there); everything else in
+// the crate still refuses it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -30,6 +30,13 @@ cargo test -q --offline
 echo "==> full workspace tests"
 cargo test -q --workspace --offline
 
+echo "==> vector-kernel bit-identity tests, optimized build"
+# Unoptimized test builds do not vectorize, so there the AVX2 and baseline
+# builds of the batched IFFT and peak fold run the same scalar code. The
+# release build is the one whose packed loops must match bit for bit.
+cargo test -q --release --offline -p nomloc-dsp
+cargo test -q --release --offline -p nomloc-net --lib crc32
+
 echo "==> loopback serving smoke test (daemon + loadgen over 127.0.0.1)"
 cargo test -q --offline --test net_loopback
 
@@ -128,7 +135,7 @@ if [[ ! -s "$quick_json" ]]; then
   echo "error: $quick_json missing or empty" >&2
   exit 1
 fi
-for key in stages fft pdp_64 pdp_batched encode end_to_end speedup decode_ns_per_request soak dispatch sessions; do
+for key in crc stages fft pdp_64 pdp_batched encode end_to_end speedup decode_ns_per_request soak dispatch sessions; do
   if ! grep -q "\"$key\"" "$quick_json"; then
     echo "error: $quick_json malformed — missing key \"$key\"" >&2
     exit 1
@@ -142,7 +149,9 @@ echo "==> PDP stage regression guard (stage / per-packet oracle, paired in-run)"
 # swings move both sides together, where the stage's absolute ns/request
 # moved 11.7–23.7 µs between quick runs. A slowdown of the stage's own
 # code by a factor f lifts the ratio by f, so the 25% margin fails a
-# planted 1.5x slowdown; clean quick runs pass it.
+# planted 1.5x slowdown; clean quick runs pass it. With the AVX2 build of
+# the batched kernels committed at ~0.39, a build forced to baseline
+# width read 0.60-0.62 in 10 of 10 quick runs and fails.
 # Blind spot: code both sides run (the window taper, mean_spacing_hz,
 # median_in_place, the FFT plan caches) slows both sides, so the ratio
 # barely moves. A planted taper slowdown that took the stage from
@@ -164,6 +173,35 @@ else
     exit (new > limit) ? 1 : 0
   }' || {
     echo "error: PDP stage regressed >25% against its per-packet oracle" >&2
+    exit 1
+  }
+fi
+
+echo "==> CRC kernel guard (crc.ns_per_kib vs committed BENCH_serving.json)"
+# The frame CRC over one 45.7 KiB dense request payload, in ns per KiB.
+# On a host with PCLMULQDQ the folding kernel takes all but the last
+# 15 bytes; slicing-by-8 alone runs about 15x slower, so a 3x margin fails
+# a fallback to it (a build that lost the kernel, or a host without it)
+# while absorbing quick-run noise. On a 2-vCPU host 20 clean quick runs
+# read 32.2-34.8 against a committed 33.1, and a build with the folding
+# kernel switched off read 511.6-511.7 in 10 of 10 runs.
+crc_kib() {
+  sed -n 's/.*"crc"[[:space:]]*:.*"ns_per_kib"[[:space:]]*:[[:space:]]*\([0-9.]*\).*/\1/p' | head -1
+}
+committed_crc="$(git show HEAD:BENCH_serving.json 2>/dev/null | crc_kib)"
+new_crc="$(crc_kib < "$quick_json")"
+if [[ -z "$new_crc" ]]; then
+  echo "error: crc.ns_per_kib missing from $quick_json" >&2
+  exit 1
+elif [[ -z "$committed_crc" ]]; then
+  echo "    no committed baseline (new section?) — skipping"
+else
+  awk -v new="$new_crc" -v old="$committed_crc" 'BEGIN {
+    limit = old * 3
+    printf "    crc.ns_per_kib: %.2f (committed %.2f, limit %.2f)\n", new, old, limit
+    exit (new > limit) ? 1 : 0
+  }' || {
+    echo "error: frame CRC is more than 3x its committed cost — did it fall back to slicing-by-8?" >&2
     exit 1
   }
 fi
