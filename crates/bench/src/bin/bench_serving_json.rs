@@ -144,27 +144,24 @@ fn run_soak(idle_target: usize, active_requests: usize) -> Option<SoakResult> {
     })
 }
 
-/// Dispatch-plane cost at one venue count (see [`run_dispatch`]).
+/// Dispatch-queue cost at one venue count (see [`run_dispatch`]).
 struct DispatchScale {
     live_venues: usize,
     connections: usize,
     requests: usize,
-    queue_shards: u64,
     ns_per_request: f64,
     closed_rps: f64,
     worst_worker_p99_ns: f64,
-    queue_steals: u64,
-    enqueue_contention: u64,
     depth_peak: u64,
 }
 
-/// Prices the admission/dispatch plane itself, per venue count, in
+/// Prices the admission/dispatch queue itself, per venue count, in
 /// min-of-rounds passes.
 ///
 /// Two traffic shapes per scale:
 ///
 /// - **Pipelined** (8 connections, every request in flight at once): the
-///   plane runs deep and batchers pop already-homogeneous venue FIFOs.
+///   queue runs deep and batchers pop already-homogeneous venue FIFOs.
 ///   This is the headline `ns_per_request` and the regression-gated
 ///   number.
 /// - **Closed-loop** (8 synchronous workers via
@@ -260,12 +257,9 @@ fn run_dispatch(counts: &[usize], requests_per_pass: usize) -> Vec<DispatchScale
                 live_venues: live,
                 connections: 8,
                 requests: batch.len(),
-                queue_shards: health.queue_shards,
                 ns_per_request: best_ns,
                 closed_rps: best_rps,
                 worst_worker_p99_ns: best_p99,
-                queue_steals: counters.queue_steals,
-                enqueue_contention: counters.enqueue_contention,
                 depth_peak: health.queue_depth_peak,
             }
         })
@@ -287,7 +281,9 @@ struct SessionCost {
 /// push, the localizability bound lookup, and the larger reply frame on
 /// every request. The headline number is the median over rounds of the
 /// sessioned pass's time over the stateless pass's in the same round,
-/// which a slow spell of the host lifts on both sides alike.
+/// which a slow spell of the host lifts on both sides alike. Quick mode
+/// keeps 60 rounds, not a tenth of the full count: with 15, one clean
+/// run in about 20 read over check.sh's 1.15 limit.
 fn run_sessions(batch: &[Vec<CsiReport>]) -> SessionCost {
     let venue = Venue::lab();
     let server = LocalizationServer::new(venue.plan.boundary().clone());
@@ -305,7 +301,7 @@ fn run_sessions(batch: &[Vec<CsiReport>]) -> SessionCost {
     };
     let mut smoothed_replies = 0usize;
     let (sessioned_ns, stateless_ns, ratio) = lpcmp::paired_ns(
-        rounds(150),
+        if quick_mode() { 60 } else { 150 },
         1,
         || {
             let tracked =
@@ -647,7 +643,7 @@ fn main() {
     };
     let soak = run_soak(idle_target, soak_requests);
 
-    // --- Dispatch plane at 1 and 100 live venues.
+    // --- Dispatch queue at 1 and 100 live venues.
     let dispatch_requests = if quick_mode() { 12_000 } else { 16_000 };
     let dispatch_scales = run_dispatch(&[1, 100], dispatch_requests);
 
@@ -666,16 +662,13 @@ fn main() {
         .iter()
         .map(|d| {
             format!(
-                "{{\"live_venues\": {}, \"connections\": {}, \"requests\": {}, \"queue_shards\": {}, \"ns_per_request\": {:.1}, \"closed_rps\": {:.0}, \"worst_worker_p99_ns\": {:.0}, \"queue_steals\": {}, \"enqueue_contention\": {}, \"depth_peak\": {}}}",
+                "{{\"live_venues\": {}, \"connections\": {}, \"requests\": {}, \"ns_per_request\": {:.1}, \"closed_rps\": {:.0}, \"worst_worker_p99_ns\": {:.0}, \"depth_peak\": {}}}",
                 d.live_venues,
                 d.connections,
                 d.requests,
-                d.queue_shards,
                 d.ns_per_request,
                 d.closed_rps,
                 d.worst_worker_p99_ns,
-                d.queue_steals,
-                d.enqueue_contention,
                 d.depth_peak,
             )
         })
@@ -747,14 +740,12 @@ fn main() {
     for d in &dispatch_scales {
         println!(
             "dispatch: {} venues, {} conns — {:.0} ns/req, closed-loop {:.0} rps, worst worker \
-             p99 {:.2} ms, {} steals, {} contended enqueues, depth peak {}",
+             p99 {:.2} ms, depth peak {}",
             d.live_venues,
             d.connections,
             d.ns_per_request,
             d.closed_rps,
             d.worst_worker_p99_ns / 1e6,
-            d.queue_steals,
-            d.enqueue_contention,
             d.depth_peak,
         );
     }

@@ -1055,8 +1055,8 @@ pub fn run_loadgen(spec: &LoadgenSpec) -> Result<String, String> {
     out.push_str(&report.render());
     if let Some(handle) = loopback {
         if spec.venues > 0 {
-            // The batcher shards by venue, so under zipf traffic every
-            // micro-batch must still be venue-homogeneous.
+            // A batcher pops one venue's FIFO at a time, so under zipf
+            // traffic every micro-batch must still be venue-homogeneous.
             let counters = handle.stats_snapshot().counters;
             out.push_str(&format!(
                 "venue batching: {} homogeneous micro-batches, {} mixed\n",
@@ -1459,7 +1459,7 @@ mod tests {
 
     #[test]
     fn removed_socket_and_queue_flags_are_unknown() {
-        // The daemon has one socket layer and one dispatch plane, so the
+        // The daemon has one socket layer and one dispatch queue, so the
         // flags that used to select between alternatives are gone; batching
         // is work-conserving, so the fill-window knob is gone too.
         for cmd in ["serve", "loadgen", "chaos"] {
@@ -1621,7 +1621,7 @@ mod tests {
             out.contains("zipf(s=1) over 4 live venues"),
             "missing venue header:\n{out}"
         );
-        // The venue-sharded batcher must never mix venues in a batch.
+        // The dispatch queue must never mix venues in a batch.
         assert!(out.contains(", 0 mixed"), "mixed batches:\n{out}");
         // Drain-time health carries one per-venue line per live venue.
         assert_eq!(

@@ -419,15 +419,6 @@ counter_set! {
         deadline_missed,
         /// High-water mark of the serving admission queue depth.
         queue_depth_peak,
-        /// Admissions that found their dispatch-shard lock held and had to
-        /// block for it (sharded batching plane).
-        enqueue_contention,
-        /// Micro-batches a batcher pulled from a *sibling* shard because its
-        /// own shard ran dry (work stealing in the sharded batching plane).
-        queue_steals,
-        /// High-water mark of any single dispatch shard's queue depth
-        /// (sharded batching plane).
-        shard_depth_peak,
         /// Reply-frame bytes encoded by the serving layer.
         reply_bytes_encoded,
     }
@@ -510,11 +501,6 @@ impl fmt::Display for StatsSnapshot {
             writeln!(f, "  queue depth peak      {}", c.queue_depth_peak)?;
             writeln!(f, "  overload rejections   {}", c.queue_rejected)?;
             writeln!(f, "  deadline misses       {}", c.deadline_missed)?;
-        }
-        if c.queue_steals > 0 || c.enqueue_contention > 0 || c.shard_depth_peak > 0 {
-            writeln!(f, "  shard depth peak      {}", c.shard_depth_peak)?;
-            writeln!(f, "  queue steals          {}", c.queue_steals)?;
-            writeln!(f, "  enqueue contention    {}", c.enqueue_contention)?;
         }
         if c.reply_bytes_encoded > 0 {
             writeln!(f, "  reply bytes encoded   {}", c.reply_bytes_encoded)?;
@@ -714,27 +700,6 @@ impl PipelineStats {
     pub fn note_queue_depth(&self, depth: u64) {
         self.counters
             .queue_depth_peak
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Records one admission that found its dispatch-shard lock held
-    /// (sharded batching plane enqueue contention).
-    pub fn record_enqueue_contention(&self) {
-        self.counters
-            .enqueue_contention
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one micro-batch stolen from a sibling dispatch shard.
-    pub fn record_queue_steal(&self) {
-        self.counters.queue_steals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Raises the single-shard queue-depth high-water mark to at least
-    /// `depth` (sharded batching plane).
-    pub fn note_shard_depth(&self, depth: u64) {
-        self.counters
-            .shard_depth_peak
             .fetch_max(depth, Ordering::Relaxed);
     }
 
@@ -985,28 +950,6 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.counters, CounterTotals::default());
         assert_eq!(s.batch_sizes.count(), 0);
-    }
-
-    #[test]
-    fn dispatch_plane_counters_accumulate_and_reset() {
-        let stats = PipelineStats::new();
-        stats.record_enqueue_contention();
-        stats.record_queue_steal();
-        stats.record_queue_steal();
-        stats.note_shard_depth(7);
-        stats.note_shard_depth(4); // lower than peak: no effect
-        let c = stats.snapshot().counters;
-        assert_eq!(c.enqueue_contention, 1);
-        assert_eq!(c.queue_steals, 2);
-        assert_eq!(c.shard_depth_peak, 7);
-        let text = stats.snapshot().to_string();
-        assert!(text.contains("shard depth peak      7"));
-        assert!(text.contains("queue steals          2"));
-        assert!(text.contains("enqueue contention    1"));
-        stats.reset();
-        let s = stats.snapshot();
-        assert_eq!(s.counters, CounterTotals::default());
-        assert!(!s.to_string().contains("queue steals"));
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! The `nomloc-net` serving daemon: event-driven TCP socket layer,
-//! cross-connection micro-batching over venue-affine dispatch shards,
-//! admission control, deadlines, and graceful drain.
+//! cross-connection micro-batching over one venue round-robin dispatch
+//! queue, admission control, deadlines, and graceful drain.
 //!
 //! Threading model (all `std`, no async runtime):
 //!
 //! ```text
-//!             lone request at an idle plane: solved on the loop ─┐
-//!  event loop 0 ─ owns conns ┐  ┌ shard 0 ─▶ batcher 0 ┐        ▼
-//!  event loop 1 ─ owns conns ┼─▶┤ shard 1 ─▶ batcher 1 ┼─▶ process_batch
-//!      …          (epoll)    ┘  │    …    ⤢ steal    … │        └▶ reply, written
-//!                               └ shard N-1 ───────────┘  through by the solving
-//!                      venue→shard fib hash;              thread; the owning loop
-//!                      park/unpark wakeups                flushes what EAGAIN queued
+//!             lone request at an idle queue: solved on the loop ─┐
+//!  event loop 0 ─ owns conns ┐  ┌─────────────┐  ┌ batcher 0 ┐   ▼
+//!  event loop 1 ─ owns conns ┼─▶│ venue FIFOs │─▶┤ batcher 1 ┼─▶ process_batch
+//!      …          (epoll)    ┘  │ round robin │  └    …      ┘   └▶ reply, written
+//!                               └─────────────┘        through by the solving
+//!                             one lock, one condvar    thread; the owning loop
+//!                                                      flushes what EAGAIN queued
 //! ```
 //!
 //! * **Socket layer** (the `event` module): `event_loops` readiness-driven
@@ -30,8 +30,8 @@
 //!   of three (loop, batcher, loop again to write).
 //! * **Cross-connection micro-batching**: everything else — pipelined
 //!   frames, arrivals while a solve runs, busy batchers — goes into the
-//!   dispatch plane (the `dispatch` module): `QUEUE_SHARDS` (8)
-//!   venue-affine shard queues; `batchers` threads pop venue-homogeneous
+//!   dispatch queue (the `dispatch` module): per-venue FIFOs served
+//!   round robin under one lock; `batchers` threads pop venue-homogeneous
 //!   batches of up to `max_batch` requests. Batching is work-conserving:
 //!   a batcher takes whatever its venue's queue holds and never waits for
 //!   more, so batches grow only as requests pile up behind a busy batcher
@@ -42,16 +42,15 @@
 //!   thread, so the loops and batchers are the daemon's only solving
 //!   threads and each keeps its warm thread-local PDP scratch and FFT
 //!   plans.
-//! * **Admission control**: when the plane holds `queue_capacity`
-//!   requests (a global bound across all shards), new arrivals are
-//!   answered `Overloaded` immediately instead of buffering without
-//!   bound.
+//! * **Admission control**: when the queue holds `queue_capacity`
+//!   requests, new arrivals are answered `Overloaded` immediately instead
+//!   of buffering without bound.
 //! * **Deadlines**: a request carrying `deadline_us > 0` that ages past
 //!   it while queued is answered `DeadlineExceeded` and never solved.
 //! * **Graceful drain**: [`DaemonHandle::shutdown`] stops the loops
-//!   reading, then lets the batchers empty the plane — every admitted
-//!   request is answered — and flushes every reply before joining all
-//!   threads.
+//!   reading and closes the queue to admission, then lets the batchers
+//!   empty it — every admitted request is answered — and flushes every
+//!   reply before joining all threads.
 //!
 //! The serving contract is checked end to end against the in-process
 //! `process_batch` (the loopback suite's bit-identity test) and by the
@@ -81,27 +80,20 @@ mod event;
 
 use event::QueuedSink;
 
-/// How long blocking waits (poller, parked batchers, the watchdog) sleep
-/// between checks of the shutdown flag — bounds shutdown latency, not
+/// How long blocking waits (the poller, the watchdog) sleep between
+/// checks of the shutdown flag — bounds shutdown latency, not
 /// throughput.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Shard count of the venue-affine dispatch plane; venues spread over
-/// the shards by fibonacci hash. Reported as `queue_shards` in
-/// [`ServerHealth`].
-const QUEUE_SHARDS: usize = 8;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Batcher threads popping micro-batches off the dispatch plane.
+    /// Batcher threads popping micro-batches off the dispatch queue.
     pub batchers: usize,
     /// Cap on a micro-batch: a batcher takes at most this many queued
     /// requests of one venue per pop.
     pub max_batch: usize,
     /// Admission-queue capacity; arrivals beyond it get `Overloaded`.
-    /// A *global* bound: the dispatch plane enforces it with one atomic
-    /// gauge across all shards.
     pub queue_capacity: usize,
     /// Artificial pause before each batch solve. Zero in production; the
     /// overload tests use it to throttle the drain rate deterministically.
@@ -213,11 +205,10 @@ struct Shared {
     /// every per-venue server the registry builds).
     stats: Arc<PipelineStats>,
     config: DaemonConfig,
-    /// The admission/dispatch plane: sharded venue-affine queues.
+    /// The admission/dispatch queue: per-venue FIFOs served round robin.
     dispatch: dispatch::Dispatch,
-    /// The batching parameters `dispatch` needs, copied out of `config`
-    /// once at spawn.
-    dispatch_config: dispatch::DispatchConfig,
+    /// First shutdown phase: loops stop reading. The queue's own `closed`
+    /// flag, set right after, is what admission checks.
     shutting_down: AtomicBool,
     /// Second shutdown phase: every batcher is joined and every reply
     /// queued — loops flush their remaining outbound bytes and exit.
@@ -279,11 +270,7 @@ pub fn spawn<A: ToSocketAddrs>(
     let shared = Arc::new(Shared {
         registry,
         stats,
-        dispatch: dispatch::Dispatch::new(QUEUE_SHARDS, config.batchers.max(1)),
-        dispatch_config: dispatch::DispatchConfig {
-            max_batch: config.max_batch,
-            queue_capacity: config.queue_capacity,
-        },
+        dispatch: dispatch::Dispatch::new(config.max_batch, config.queue_capacity),
         config: config.clone(),
         shutting_down: AtomicBool::new(false),
         drain_flush: AtomicBool::new(false),
@@ -296,10 +283,9 @@ pub fn spawn<A: ToSocketAddrs>(
 
     let (loop_threads, loops) = event::spawn_loops(&shared, &listener)?;
 
-    let mut batchers = Vec::with_capacity(config.batchers.max(1));
-    for idx in 0..config.batchers.max(1) {
-        batchers.push(spawn_batcher(&shared, idx));
-    }
+    let batchers = (0..config.batchers.max(1))
+        .map(|_| spawn_batcher(&shared))
+        .collect();
     let watchdog = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || watchdog_loop(&shared, batchers))
@@ -314,9 +300,9 @@ pub fn spawn<A: ToSocketAddrs>(
     })
 }
 
-fn spawn_batcher(shared: &Arc<Shared>, idx: usize) -> JoinHandle<()> {
+fn spawn_batcher(shared: &Arc<Shared>) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
-    std::thread::spawn(move || batcher_loop(&shared, idx))
+    std::thread::spawn(move || batcher_loop(&shared))
 }
 
 /// Supervises the batcher pool: any batcher that dies (the
@@ -326,12 +312,9 @@ fn spawn_batcher(shared: &Arc<Shared>, idx: usize) -> JoinHandle<()> {
 /// requeued, preserving the every-admitted-request-is-answered contract.
 fn watchdog_loop(shared: &Arc<Shared>, mut batchers: Vec<JoinHandle<()>>) {
     while !shared.shutting_down.load(Ordering::Acquire) {
-        for (idx, slot) in batchers.iter_mut().enumerate() {
+        for slot in &mut batchers {
             if slot.is_finished() && !shared.shutting_down.load(Ordering::Acquire) {
-                // Respawn into the same slot index, so the replacement
-                // inherits the dead batcher's shard affinity and parking
-                // slot (it re-registers its own thread handle on entry).
-                let dead = std::mem::replace(slot, spawn_batcher(shared, idx));
+                let dead = std::mem::replace(slot, spawn_batcher(shared));
                 let _ = dead.join();
                 shared
                     .net
@@ -345,33 +328,21 @@ fn watchdog_loop(shared: &Arc<Shared>, mut batchers: Vec<JoinHandle<()>>) {
         shared.sessions.sweep(Instant::now());
         std::thread::sleep(POLL_INTERVAL);
     }
-    shared.dispatch.wake_all();
+    // `shutdown` closed the queue right after raising the flag, so the
+    // batchers drain it and exit.
     for h in batchers {
         let _ = h.join();
     }
     // A batcher that killed itself after the shutdown flag was set leaves
     // its requeued batch behind with nobody to respawn for it — answer it
     // here (single-threaded: every batcher is joined, so requeue races
-    // are over). `next_batch` returns `false` once the plane is truly
-    // empty.
+    // are over). The queue is closed, so `next_batch` returns `false`
+    // once it is empty instead of blocking.
     let mut scratch = BatcherScratch::default();
-    while next_batch(shared, 0, &mut scratch) {
+    while shared.dispatch.next_batch(&mut scratch.batch) {
         let _answering = shared.dispatch.answering(scratch.batch.len());
         solve_and_reply(shared, &mut scratch);
     }
-}
-
-/// Pops the next venue-homogeneous micro-batch into `scratch.batch`
-/// through the dispatch plane. Returns `false` when the plane is empty
-/// and the daemon is shutting down.
-fn next_batch(shared: &Shared, batcher: usize, scratch: &mut BatcherScratch) -> bool {
-    shared.dispatch.next_batch(
-        batcher,
-        &mut scratch.batch,
-        &shared.dispatch_config,
-        || shared.shutting_down.load(Ordering::Acquire),
-        &shared.stats,
-    )
 }
 
 /// Payload type for deliberately injected panics, so the process-global
@@ -447,15 +418,16 @@ impl DaemonHandle {
             ..
         } = self;
         shared.shutting_down.store(true, Ordering::Release);
-        // Phase one: wake every loop so it deregisters its listener and
-        // stops consuming input; the watchdog joins the batchers, which
-        // drain the admitted plane onto the per-connection buffers (the
-        // loops keep flushing meanwhile), then drains any kill-requeued
-        // tail.
+        // Phase one: close admission under the queue lock, so no request
+        // lands after the batchers have drained, and wake every loop so
+        // it deregisters its listener and stops consuming input; the
+        // watchdog joins the batchers, which drain the admitted queue
+        // onto the per-connection buffers (the loops keep flushing
+        // meanwhile), then drains any kill-requeued tail.
+        shared.dispatch.close();
         for l in &loops {
             l.wake();
         }
-        shared.dispatch.wake_all();
         let _ = watchdog.join();
         // Phase two: every reply is queued — tell the loops to flush their
         // remaining outbound bytes and exit, so "every admitted request is
@@ -504,10 +476,6 @@ fn health_of(shared: &Shared) -> ServerHealth {
         tracker_rejections: shared.sessions.rejections(),
         reply_bytes_encoded: snap.counters.reply_bytes_encoded,
         slow_readers_evicted: net.slow_readers_evicted.load(Ordering::Relaxed),
-        enqueue_contention: snap.counters.enqueue_contention,
-        queue_steals: snap.counters.queue_steals,
-        shard_depth_peak: snap.counters.shard_depth_peak,
-        queue_shards: QUEUE_SHARDS as u64,
         venues: shared.registry.health(),
     }
 }
@@ -635,12 +603,7 @@ fn handle_frame(
                     return Ok(());
                 }
             }
-            match shared.dispatch.admit(
-                pending,
-                shared.shutting_down.load(Ordering::Acquire),
-                &shared.dispatch_config,
-                &shared.stats,
-            ) {
+            match shared.dispatch.admit(pending, &shared.stats) {
                 Ok(()) => {
                     shared.net.requests_enqueued.fetch_add(1, Ordering::Relaxed);
                 }
@@ -717,7 +680,7 @@ fn handle_frame(
 }
 
 /// Whether the event loop should solve a lone request for `venue` itself
-/// with `scratch`, claiming the idle plane if so (the caller ends the
+/// with `scratch`, claiming the idle queue if so (the caller ends the
 /// claim through `Dispatch::answering`): no admitted request is
 /// unanswered, so a hand-off would buy nothing but a batcher's wake-up,
 /// and the solve overtakes no earlier request. (A session step resent on
@@ -800,21 +763,19 @@ struct BatcherScratch {
     reader: RegistryReader,
 }
 
-fn batcher_loop(shared: &Arc<Shared>, idx: usize) {
-    shared.dispatch.register_batcher(idx);
+fn batcher_loop(shared: &Arc<Shared>) {
     let mut scratch = BatcherScratch::default();
     loop {
-        if !next_batch(shared, idx, &mut scratch) {
-            return; // drained and shutting down
+        if !shared.dispatch.next_batch(&mut scratch.batch) {
+            return; // closed and drained
         }
         let popped = shared.net.batches_popped.fetch_add(1, Ordering::Relaxed) + 1;
         let kill = shared.config.batcher_kill_period();
         if kill.is_some_and(|n| popped.is_multiple_of(n)) {
             // Simulated batcher death: requeue the batch at the front of
-            // its queue (its venue's FIFO, in its own shard, on the
-            // sharded plane) — no admitted request is lost — and exit the
-            // thread. The watchdog notices and respawns within one poll
-            // interval.
+            // its venue's FIFO — no admitted request is lost — and exit
+            // the thread. The watchdog notices and respawns within one
+            // poll interval.
             shared.dispatch.requeue_front(&mut scratch.batch);
             return;
         }
@@ -859,8 +820,8 @@ fn solve_and_reply(shared: &Shared, scratch: &mut BatcherScratch) {
     if live.is_empty() {
         return;
     }
-    // Batches are venue-homogeneous by construction (`next_batch` shards
-    // by the head's venue); the composition counter pins that invariant.
+    // Batches are venue-homogeneous by construction (`next_batch` pops
+    // one venue's FIFO); the composition counter pins that invariant.
     let venue = live[0].venue;
     let mut distinct = 0u64;
     for (i, p) in live.iter().enumerate() {

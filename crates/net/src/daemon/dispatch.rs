@@ -1,106 +1,63 @@
-//! The admission/dispatch plane between the socket layer and the
-//! batcher pool: venue-affine shard queues with owner batchers, work
-//! stealing and targeted wakeups.
+//! The dispatch queue between the socket layer and the batcher pool:
+//! one venue round-robin queue under one lock and one condvar.
 //!
-//! `QUEUE_SHARDS` bounded shard queues, venue→shard
-//! by fibonacci hash, so a socket thread enqueues with exactly one
-//! shard-local lock (contention is counted, never spun on) and batchers
-//! pop *already venue-homogeneous* batches with no scan at all — each
-//! shard keeps per-venue FIFOs threaded on a round-robin venue order,
-//! so batch formation is pop-front. Shard `s` is *owned* by batcher
-//! `s mod B`: each batcher round-robins its disjoint owned set (so
-//! every shard has a bounded service interval even with `B < N`), and
-//! only when the whole set is dry does it steal from the others, in
-//! deterministic order from a per-batcher rotating cursor — a hot venue
-//! can neither strand cold batchers nor starve a cold shard. Wakeups
-//! are targeted park/unpark: an enqueue unparks the shard's owner
-//! (falling back to any parked batcher, which will steal), bounded by
-//! the same [`POLL_INTERVAL`] backstop every blocking wait in the
-//! daemon uses.
+//! The queue keeps a FIFO per venue, threaded on a round-robin order of
+//! the venues that hold requests. A batcher pops the head venue's FIFO
+//! (up to `max_batch` requests) and sends the venue to the back of the
+//! order if requests remain, so every popped batch is venue-homogeneous
+//! with no scan, and a cold venue is served within one pass over the
+//! venues listed ahead of it: a hot venue cannot starve it.
 //!
 //! Batching is *work-conserving*: a batcher ships whatever its venue's
-//! FIFO holds the moment it pops (up to `max_batch`) and never waits for
-//! more. Requests that arrive while it solves queue up and form the next
-//! batch, so batches grow with load on their own and a lone request at
-//! low load is solved as soon as a batcher is free.
+//! FIFO holds the moment it pops and never waits for more. Requests that
+//! arrive while it solves queue up and form the next batch, so batches
+//! grow with load on their own and a lone request at low load is solved
+//! as soon as a batcher is free.
 //!
-//! The plane is the path for backlog only: an event loop that finds a
+//! The queue is the path for backlog only: an event loop that finds a
 //! lone request while [`Dispatch::claim_idle`] succeeds (no admitted
 //! request is unanswered, wherever it is) solves it itself rather than
 //! pay a batcher's wake-up.
 //!
-//! **Contract**: admission control is a *global* capacity (one atomic
-//! depth gauge across all shards), so `queue_depth_peak <=
-//! queue_capacity` holds and `Overloaded` is decided in one place;
-//! queued-deadline expiry stays per-request at solve time; a dying
-//! batcher requeues its (venue-homogeneous) batch at the front of that
-//! venue's FIFO in its own shard; and drain-on-shutdown empties every
-//! shard before `next_batch` reports dry — every admitted request is
-//! answered.
+//! **Contract**: admission, capacity and the `closed` flag are decided
+//! under the queue lock, so `queue_depth_peak <= queue_capacity` holds
+//! and no request is admitted after [`Dispatch::close`]. Queued-deadline
+//! expiry stays per request, at solve time. A dying batcher requeues its
+//! batch at the front of its venue's FIFO and the venue at the front of
+//! the order. [`Dispatch::next_batch`] reports dry only once the queue
+//! is closed *and* empty, so every admitted request is answered.
 
-use super::{Pending, POLL_INTERVAL};
+use super::Pending;
 use nomloc_core::stats::PipelineStats;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread::Thread;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Venue→shard by fibonacci hashing — the same multiplicative mix the
-/// session table uses, so consecutive venue ids spread evenly.
-fn shard_of(venue: u64, shards: usize) -> usize {
-    (venue.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % shards
-}
-
-/// Parameters `next_batch` needs from the daemon config, copied once at
-/// construction so the plane is self-contained.
-#[derive(Clone, Copy)]
-pub(super) struct DispatchConfig {
-    pub max_batch: usize,
-    pub queue_capacity: usize,
-}
-
+/// Everything the queue lock guards.
 #[derive(Default)]
-struct ShardState {
+struct Queue {
     /// Round-robin service order over venues with queued requests. A
-    /// venue goes to the *back* after each batch, so a cold venue in the
-    /// same shard is reached within one pass of the listed venues —
-    /// bounded batches, no starvation.
+    /// venue goes to the *back* after each batch it gives up.
     order: VecDeque<u64>,
     /// Per-venue FIFOs. Kept in lockstep with `order`: a venue has an
     /// entry here exactly when it holds requests, and then it is listed
     /// in `order` exactly once — never twice (which would double-serve
     /// it) and never dropped (which would strand its requests).
     venues: HashMap<u64, VecDeque<Pending>>,
-    /// Requests queued in this shard (the global gauge lives in
-    /// [`Dispatch::depth`]).
+    /// Requests queued, over every venue.
     len: usize,
-}
-
-/// One batcher's parking slot: the targeted-wakeup half of the plane.
-struct BatcherSlot {
-    /// The batcher is parked (or about to park) and wants an unpark.
-    /// `swap(false)` on the waker side makes each token single-use.
-    parked: AtomicBool,
-    /// The thread to unpark, registered by the batcher itself on entry
-    /// (and re-registered by a watchdog respawn taking over the slot).
-    thread: Mutex<Option<Thread>>,
-    /// Round-robin cursor over the batcher's *owned* shards (shard `s`
-    /// is owned by batcher `s % B`). Advanced past each batch, so a
-    /// persistently hot owned shard cannot shadow a cold sibling in the
-    /// same set — the cross-shard half of the no-starvation guarantee
-    /// (the per-venue round-robin in [`ShardState::order`] is the
-    /// within-shard half).
-    own_cursor: AtomicUsize,
-    /// Rotating start of the steal scan over *non-owned* shards, used
-    /// only when every owned shard is dry. Advanced past each
-    /// successful steal for the same fairness reason.
-    steal_cursor: AtomicUsize,
+    /// Batchers blocked in [`Dispatch::next_batch`]: a push notifies the
+    /// condvar only when this is non-zero, because std's `notify_one`
+    /// makes a futex syscall every time.
+    waiting: usize,
+    /// Set by [`Dispatch::close`]: admission is refused and an empty
+    /// queue reports dry instead of blocking.
+    closed: bool,
 }
 
 /// Requests being answered (see [`Dispatch::answering`]). Dropping it
 /// ends their flight — also while a panic that escaped the batch guard
-/// unwinds its batcher, so a lost batch never leaves the plane looking
+/// unwinds its batcher, so a lost batch never leaves the queue looking
 /// busy for good.
 pub(super) struct Answering<'a>(&'a Dispatch, usize);
 
@@ -110,100 +67,41 @@ impl Drop for Answering<'_> {
     }
 }
 
-/// The dispatch plane (fields private to this module; the daemon drives
+/// The dispatch queue (fields private to this module; the daemon drives
 /// it through the methods).
 pub(super) struct Dispatch {
-    shards: Vec<Mutex<ShardState>>,
-    /// Global queued-request gauge: admission CAS-reserves a slot here
-    /// *before* touching any shard, so two shards can never jointly
-    /// overshoot `queue_capacity` and `queue_depth_peak` is exact.
-    depth: AtomicUsize,
-    batchers: Vec<BatcherSlot>,
+    queue: Mutex<Queue>,
+    /// Signalled when a request is pushed while a batcher waits, and on
+    /// close.
+    ready: Condvar,
+    /// Cap on one popped batch.
+    max_batch: usize,
+    /// Admission bound on `Queue::len`; arrivals beyond it are refused.
+    capacity: usize,
     /// Admitted requests not yet answered — queued, in a batcher's hands
-    /// or solved outside the plane. Raised by [`Dispatch::admit`] and
+    /// or solved outside the queue. Raised by [`Dispatch::admit`] and
     /// [`Dispatch::claim_idle`], lowered when an [`Answering`] drops.
     in_flight: AtomicUsize,
 }
 
 impl Dispatch {
-    pub(super) fn new(queue_shards: usize, batchers: usize) -> Self {
+    pub(super) fn new(max_batch: usize, capacity: usize) -> Self {
         Dispatch {
-            shards: (0..queue_shards.max(1)).map(|_| Mutex::default()).collect(),
-            depth: AtomicUsize::new(0),
+            queue: Mutex::default(),
+            ready: Condvar::new(),
+            max_batch: max_batch.max(1),
+            capacity,
             in_flight: AtomicUsize::new(0),
-            batchers: (0..batchers.max(1))
-                .map(|_| BatcherSlot {
-                    parked: AtomicBool::new(false),
-                    thread: Mutex::new(None),
-                    own_cursor: AtomicUsize::new(0),
-                    steal_cursor: AtomicUsize::new(0),
-                })
-                .collect(),
         }
     }
 
-    fn try_unpark(&self, idx: usize) -> bool {
-        if self.batchers[idx].parked.swap(false, Ordering::AcqRel) {
-            if let Some(t) = &*self.batchers[idx].thread.lock().unwrap() {
-                t.unpark();
-            }
-            true
-        } else {
-            false
-        }
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue
+            .lock()
+            .expect("a thread panicked holding the dispatch queue lock")
     }
 
-    /// Targeted wakeup for an enqueue into `shard`: first the shard's
-    /// owner (`shard % B`), then any parked batcher (which will steal
-    /// its way to the work). At most one thread is woken per enqueue.
-    fn wake_for_shard(&self, shard: usize) {
-        if self.try_unpark(shard % self.batchers.len()) {
-            return;
-        }
-        for b in 0..self.batchers.len() {
-            if self.try_unpark(b) {
-                return;
-            }
-        }
-    }
-
-    /// Pops one venue-homogeneous batch (≤ `max_batch`) off `shard`'s
-    /// round-robin order into the empty `batch`. No scan: the per-venue
-    /// FIFO is drained from the front. Returns `false` if the shard has
-    /// no queued requests.
-    fn pop_batch_from(&self, shard: usize, batch: &mut Vec<Pending>, max_batch: usize) -> bool {
-        let mut state = self.shards[shard].lock().unwrap();
-        let Some(venue) = state.order.pop_front() else {
-            return false;
-        };
-        let q = state
-            .venues
-            .get_mut(&venue)
-            .expect("listed venues have queued requests");
-        let take = q.len().min(max_batch.max(1));
-        batch.extend(q.drain(..take));
-        if q.is_empty() {
-            state.venues.remove(&venue);
-        } else {
-            // Round-robin: the venue's remainder goes to the back, so
-            // shard-mates get served before its next batch.
-            state.order.push_back(venue);
-        }
-        state.len -= take;
-        self.depth.fetch_sub(take, Ordering::AcqRel);
-        true
-    }
-
-    /// Registers the calling thread as batcher `idx` for targeted
-    /// unparks. Called on batcher entry; a watchdog respawn re-registers
-    /// the slot with the replacement thread.
-    pub(super) fn register_batcher(&self, idx: usize) {
-        if let Some(slot) = self.batchers.get(idx) {
-            *slot.thread.lock().unwrap() = Some(std::thread::current());
-        }
-    }
-
-    /// Claims the idle plane for one solve outside it, if no admitted
+    /// Claims the idle queue for one solve outside it, if no admitted
     /// request is unanswered — the state in which admitting a request
     /// would cost a batcher's wake-up and nothing else, and a request
     /// solved outside overtakes no earlier one (say, a session's previous
@@ -222,194 +120,244 @@ impl Dispatch {
         Answering(self, n)
     }
 
-    /// Admits `p` under the global capacity bound, or hands it back (the
-    /// `Err`) for an `Overloaded` reply. `shutting_down` closes admission
-    /// entirely. Updates the global and per-shard depth high-water marks,
-    /// then wakes exactly one batcher.
-    pub(super) fn admit(
-        &self,
-        p: Pending,
-        shutting_down: bool,
-        config: &DispatchConfig,
-        stats: &PipelineStats,
-    ) -> Result<(), Pending> {
-        if shutting_down {
+    /// Admits `p` at the back of its venue's FIFO, or hands it back (the
+    /// `Err`) for an `Overloaded` reply when the queue is full or closed.
+    /// Raises the depth high-water mark, then wakes one batcher if any
+    /// is waiting.
+    pub(super) fn admit(&self, p: Pending, stats: &PipelineStats) -> Result<(), Pending> {
+        let mut q = self.lock();
+        if q.closed || q.len >= self.capacity {
             return Err(p);
         }
-        // Reserve a global slot first (CAS, so two shards can never
-        // jointly overshoot the capacity), then take the one shard-local
-        // lock.
-        let mut depth = self.depth.load(Ordering::Acquire);
-        loop {
-            if depth >= config.queue_capacity {
-                return Err(p);
-            }
-            match self.depth.compare_exchange_weak(
-                depth,
-                depth + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(now) => depth = now,
-            }
-        }
-        stats.note_queue_depth(depth as u64 + 1);
-        // Raised before the request is visible, so its `answered` can
+        // Raised before the request is visible, so its `answering` can
         // never run first.
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let shard = shard_of(p.venue, self.shards.len());
         let venue = p.venue;
-        let mut state = match self.shards[shard].try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                stats.record_enqueue_contention();
-                self.shards[shard].lock().unwrap()
-            }
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-        };
-        let q = state.venues.entry(venue).or_default();
-        let newly_listed = q.is_empty();
-        q.push_back(p);
+        let fifo = q.venues.entry(venue).or_default();
+        let newly_listed = fifo.is_empty();
+        fifo.push_back(p);
         if newly_listed {
-            state.order.push_back(venue);
+            q.order.push_back(venue);
         }
-        state.len += 1;
-        stats.note_shard_depth(state.len as u64);
-        drop(state);
-        self.wake_for_shard(shard);
+        q.len += 1;
+        stats.note_queue_depth(q.len as u64);
+        let wake = q.waiting > 0;
+        drop(q);
+        if wake {
+            self.ready.notify_one();
+        }
         Ok(())
     }
 
-    /// Requeues a dying batcher's batch at the *front* of its own
-    /// shard's venue FIFO, preserving request order, then wakes everyone
-    /// so a sibling picks it up. The batch is
-    /// venue-homogeneous by construction, so the whole thing goes back
-    /// to one venue FIFO.
+    /// Requeues a dying batcher's batch at the *front* of its venue's
+    /// FIFO, preserving request order, and moves the venue to the front
+    /// of the order: the batch is the oldest admitted work. The batch is
+    /// venue-homogeneous by construction, so it all goes back to one
+    /// FIFO. Its requests stay in flight throughout.
     pub(super) fn requeue_front(&self, batch: &mut Vec<Pending>) {
-        if batch.is_empty() {
+        let Some(venue) = batch.first().map(|p| p.venue) else {
             return;
-        }
-        let venue = batch[0].venue;
-        let shard = shard_of(venue, self.shards.len());
-        let n = batch.len();
-        // Re-reserve the depth *before* pushing content, keeping
-        // the invariant depth >= queued content (so depth == 0
-        // still implies an empty plane for drain checks).
-        self.depth.fetch_add(n, Ordering::AcqRel);
-        let mut state = self.shards[shard].lock().unwrap();
-        let q = state.venues.entry(venue).or_default();
+        };
+        let mut q = self.lock();
+        q.len += batch.len();
+        let fifo = q.venues.entry(venue).or_default();
         for p in batch.drain(..).rev() {
-            q.push_front(p);
+            fifo.push_front(p);
         }
-        // The venue goes to the order *front*: the requeued batch
-        // is the oldest admitted work in this shard.
-        if let Some(pos) = state.order.iter().position(|&v| v == venue) {
-            state.order.remove(pos);
+        if let Some(pos) = q.order.iter().position(|&v| v == venue) {
+            q.order.remove(pos);
         }
-        state.order.push_front(venue);
-        state.len += n;
-        drop(state);
-        self.wake_all();
+        q.order.push_front(venue);
+        let wake = q.waiting > 0;
+        drop(q);
+        if wake {
+            self.ready.notify_one();
+        }
     }
 
-    /// Wakes every waiter (shutdown, or a requeue that any batcher may
-    /// claim).
-    pub(super) fn wake_all(&self) {
-        for i in 0..self.batchers.len() {
-            self.try_unpark(i);
-        }
+    /// Closes admission and wakes every waiting batcher, so each drains
+    /// what is queued and then reports dry.
+    pub(super) fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 
     /// Blocks for the next venue-homogeneous micro-batch into `batch`
-    /// (cleared first; capacity reused): whatever the first non-empty
-    /// venue FIFO holds, up to `max_batch`, returned at once with no fill
-    /// wait. Blocks only while the whole plane is empty. `batcher` is the caller's slot
-    /// index — it selects the owned shards and the parking slot (the
-    /// watchdog's final drain passes 0; it never
-    /// parks because a drained plane returns `false` immediately).
-    /// Returns `false` once the plane is empty *and* shutting down.
-    pub(super) fn next_batch(
-        &self,
-        batcher: usize,
-        batch: &mut Vec<Pending>,
-        config: &DispatchConfig,
-        shutting_down: impl Fn() -> bool,
-        stats: &PipelineStats,
-    ) -> bool {
+    /// (cleared first; capacity reused): whatever the head venue's FIFO
+    /// holds, up to `max_batch`, returned at once with no fill wait.
+    /// Blocks only while the queue is empty and open. Returns `false`
+    /// once the queue is closed and empty.
+    pub(super) fn next_batch(&self, batch: &mut Vec<Pending>) -> bool {
         batch.clear();
-        let nshards = self.shards.len();
-        let nb = self.batchers.len();
-        let b = batcher % nb;
-        // This batcher owns shards `b, b+B, b+2B, …` — every
-        // shard has exactly one owner (for B <= N), so an active
-        // owner round-robinning its set bounds every shard's
-        // service interval even if no steal ever fires.
-        let owned = if b < nshards {
-            (nshards - b).div_ceil(nb)
-        } else {
-            0
-        };
-        let slot = self.batchers.get(batcher);
+        let mut q = self.lock();
         loop {
-            // Owned shards first, entered at the rotating cursor
-            // so a hot owned shard cannot shadow a cold one.
-            let oc = slot
-                .map(|sl| sl.own_cursor.load(Ordering::Relaxed))
-                .unwrap_or(0);
-            for k in 0..owned {
-                let idx = (oc + k) % owned;
-                if self.pop_batch_from(b + idx * nb, batch, config.max_batch) {
-                    if let Some(sl) = slot {
-                        sl.own_cursor.store((idx + 1) % owned, Ordering::Relaxed);
-                    }
-                    return true;
+            if let Some(venue) = q.order.pop_front() {
+                let fifo = q
+                    .venues
+                    .get_mut(&venue)
+                    .expect("listed venues have queued requests");
+                let take = fifo.len().min(self.max_batch);
+                batch.extend(fifo.drain(..take));
+                if fifo.is_empty() {
+                    q.venues.remove(&venue);
+                } else {
+                    // Round-robin: the venue's remainder goes to the
+                    // back, so the other venues are served first.
+                    q.order.push_back(venue);
                 }
+                q.len -= take;
+                return true;
             }
-            // Every owned shard is dry: steal from the rest,
-            // again from a rotating start, so dry batchers fan
-            // out over hot shards without re-draining the first
-            // one they find.
-            let sc = slot
-                .map(|sl| sl.steal_cursor.load(Ordering::Relaxed))
-                .unwrap_or(0);
-            for k in 0..nshards {
-                let shard = (sc + k) % nshards;
-                if shard % nb == b {
-                    continue; // owned; just scanned above
-                }
-                if self.pop_batch_from(shard, batch, config.max_batch) {
-                    stats.record_queue_steal();
-                    if let Some(sl) = slot {
-                        sl.steal_cursor
-                            .store((shard + 1) % nshards, Ordering::Relaxed);
-                    }
-                    return true;
-                }
-            }
-            if shutting_down() && self.depth.load(Ordering::Acquire) == 0 {
+            if q.closed {
                 return false;
             }
-            // Park until an enqueue targets us (or the poll
-            // backstop fires — same bound as every blocking wait
-            // here). The parked flag is published before the
-            // re-check, so an enqueue between our scan and the
-            // park is guaranteed to either land in the re-check
-            // or leave us an unpark token.
-            if let Some(slot) = slot {
-                slot.parked.store(true, Ordering::Release);
-                if self.depth.load(Ordering::Acquire) > 0 || shutting_down() {
-                    slot.parked.store(false, Ordering::Release);
-                    continue;
-                }
-                std::thread::park_timeout(POLL_INTERVAL);
-                slot.parked.store(false, Ordering::Release);
-            } else {
-                // Unregistered caller (the watchdog drain): the
-                // plane still has depth, so spin-wait briefly for
-                // the in-flight enqueue to land.
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            q.waiting += 1;
+            q = self
+                .ready
+                .wait(q)
+                .expect("a thread panicked holding the dispatch queue lock");
+            q.waiting -= 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::event::QueuedSink;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    fn pending(sink: &Arc<QueuedSink>, venue: u64, request_id: u64) -> Pending {
+        Pending {
+            request_id,
+            venue,
+            session: 0,
+            reports: Vec::new(),
+            admitted_at: Instant::now(),
+            deadline: None,
+            writer: Arc::clone(sink),
+        }
+    }
+
+    /// `(venue, request_id)` of each request in `batch`.
+    fn ids(batch: &[Pending]) -> Vec<(u64, u64)> {
+        batch.iter().map(|p| (p.venue, p.request_id)).collect()
+    }
+
+    #[test]
+    fn admits_exactly_the_capacity_then_refuses() {
+        let sink = QueuedSink::for_tests();
+        let stats = PipelineStats::new();
+        let d = Dispatch::new(8, 3);
+        for id in 0..3 {
+            assert!(d.admit(pending(&sink, id % 2, id), &stats).is_ok());
+        }
+        let refused = d.admit(pending(&sink, 0, 3), &stats).unwrap_err();
+        assert_eq!(refused.request_id, 3);
+        assert_eq!(stats.snapshot().counters.queue_depth_peak, 3);
+        // A popped batch frees its slots for new admissions.
+        let mut batch = Vec::new();
+        assert!(d.next_batch(&mut batch));
+        assert!(d.admit(pending(&sink, 0, 4), &stats).is_ok());
+    }
+
+    #[test]
+    fn a_cold_venue_pops_before_a_hot_venues_second_batch() {
+        let sink = QueuedSink::for_tests();
+        let stats = PipelineStats::new();
+        let d = Dispatch::new(2, 64);
+        for id in 0..6 {
+            assert!(d.admit(pending(&sink, 7, id), &stats).is_ok());
+        }
+        assert!(d.admit(pending(&sink, 9, 100), &stats).is_ok());
+        let mut batch = Vec::new();
+        let mut popped = Vec::new();
+        while popped.len() < 4 {
+            assert!(d.next_batch(&mut batch));
+            popped.push(ids(&batch));
+        }
+        assert_eq!(
+            popped,
+            [
+                vec![(7, 0), (7, 1)],
+                vec![(9, 100)],
+                vec![(7, 2), (7, 3)],
+                vec![(7, 4), (7, 5)],
+            ]
+        );
+    }
+
+    #[test]
+    fn requeue_front_restores_the_batch_at_the_head_in_order() {
+        let sink = QueuedSink::for_tests();
+        let stats = PipelineStats::new();
+        let d = Dispatch::new(3, 64);
+        for id in 0..5 {
+            assert!(d.admit(pending(&sink, 1, id), &stats).is_ok());
+        }
+        assert!(d.admit(pending(&sink, 2, 50), &stats).is_ok());
+        let mut batch = Vec::new();
+        assert!(d.next_batch(&mut batch));
+        assert_eq!(ids(&batch), [(1, 0), (1, 1), (1, 2)]);
+        // Venue 2 is now ahead of venue 1's remainder; the requeued batch
+        // goes back in front of both, ahead of the remainder in its FIFO.
+        d.requeue_front(&mut batch);
+        assert!(batch.is_empty());
+        assert!(d.next_batch(&mut batch));
+        assert_eq!(ids(&batch), [(1, 0), (1, 1), (1, 2)]);
+        // Then round robin resumes: venue 2, then venue 1's remainder.
+        assert!(d.next_batch(&mut batch));
+        assert_eq!(ids(&batch), [(2, 50)]);
+        assert!(d.next_batch(&mut batch));
+        assert_eq!(ids(&batch), [(1, 3), (1, 4)]);
+    }
+
+    #[test]
+    fn close_refuses_admission_and_drains_before_reporting_dry() {
+        let sink = QueuedSink::for_tests();
+        let stats = PipelineStats::new();
+        let d = Arc::new(Dispatch::new(1, 64));
+        assert!(d.admit(pending(&sink, 0, 1), &stats).is_ok());
+        assert!(d.admit(pending(&sink, 0, 2), &stats).is_ok());
+        // A batcher blocked on an empty queue is woken by the close.
+        let idle = Arc::new(Dispatch::new(1, 64));
+        let waiter = {
+            let idle = Arc::clone(&idle);
+            std::thread::spawn(move || idle.next_batch(&mut Vec::new()))
+        };
+        while idle.lock().waiting == 0 {
+            std::thread::yield_now();
+        }
+        d.close();
+        idle.close();
+        assert!(!waiter.join().unwrap(), "a closed empty queue is dry");
+        assert!(d.admit(pending(&sink, 0, 3), &stats).is_err());
+        let mut batch = Vec::new();
+        assert!(d.next_batch(&mut batch));
+        assert_eq!(ids(&batch), [(0, 1)]);
+        assert!(d.next_batch(&mut batch));
+        assert_eq!(ids(&batch), [(0, 2)]);
+        assert!(!d.next_batch(&mut batch));
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn claim_idle_fails_while_any_admitted_request_is_unanswered() {
+        let sink = QueuedSink::for_tests();
+        let stats = PipelineStats::new();
+        let d = Dispatch::new(8, 64);
+        assert!(d.admit(pending(&sink, 0, 1), &stats).is_ok());
+        assert!(!d.claim_idle(), "a request is queued");
+        let mut batch = Vec::new();
+        assert!(d.next_batch(&mut batch));
+        assert!(!d.claim_idle(), "a popped request is not answered yet");
+        let answering = d.answering(batch.len());
+        assert!(!d.claim_idle(), "the batch is being answered");
+        drop(answering);
+        assert!(d.claim_idle(), "every admitted request is answered");
+        assert!(!d.claim_idle(), "the claim itself counts as in flight");
+        drop(d.answering(1));
+        assert!(d.claim_idle());
     }
 }

@@ -1,6 +1,6 @@
 //! The daemon's socket layer: N event-loop threads own every connection
 //! through a [`Poller`](crate::poll::Poller) and feed decoded requests
-//! to the dispatch plane — or, when a request is the only work in sight,
+//! to the dispatch queue — or, when a request is the only work in sight,
 //! solve it on the spot.
 //!
 //! Per loop: one waker (producers nudge the loop when a reply could not
@@ -15,7 +15,7 @@
 //! solves that request on the loop thread when no admitted request is
 //! unanswered and the venue's cache is resident — the hand-off would
 //! only pay a batcher's wake-up. At most one request
-//! per pass runs this way; the rest go to the plane.
+//! per pass runs this way; the rest go to the queue.
 //!
 //! **Writes go through, and are bounded.** Whichever thread produces a
 //! reply writes it to the nonblocking socket itself when the connection's
@@ -36,9 +36,10 @@
 //! sends are dropped) and shuts the socket down, so the peer sees the
 //! close at once even while a producer still holds the sink.
 //!
-//! **Shutdown is two-phase.** Phase one (`shutting_down`): loops
-//! deregister their listeners and stop reading, while batchers drain the
-//! admitted queue and send replies. Phase two (`drain_flush`, set after
+//! **Shutdown is two-phase.** Phase one (`shutting_down`, with the
+//! dispatch queue closed to admission): loops deregister their listeners
+//! and stop reading, while batchers drain the admitted queue and send
+//! replies. Phase two (`drain_flush`, set after
 //! the watchdog joins the batchers): loops flush every remaining
 //! outbound byte (bounded by a deadline), then close and exit — so
 //! "every admitted request is answered" holds on the wire, not just in
@@ -236,6 +237,26 @@ impl QueuedSink {
         out.closed = true;
         out.buf = Vec::new();
         out.written = 0;
+    }
+
+    /// A sink over a fresh loopback connection with no loop behind it,
+    /// for unit tests that need a [`Pending`](super::Pending).
+    #[cfg(test)]
+    pub(super) fn for_tests() -> Arc<QueuedSink> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        Arc::new(QueuedSink {
+            owner: Arc::new(LoopShared {
+                waker: Waker::new().expect("waker"),
+                dirty: Mutex::new(Vec::new()),
+                wake_pending: AtomicBool::new(false),
+            }),
+            slot: 0,
+            cap: 1 << 16,
+            stream,
+            dirty: AtomicBool::new(false),
+            out: Mutex::new(OutBuf::default()),
+        })
     }
 }
 

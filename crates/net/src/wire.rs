@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "NMLC"
-//!      4     1  protocol version (currently 5; see `VERSION` for what
+//!      4     1  protocol version (`VERSION`, which also lists what
 //!                                 each version added — older decoders
 //!                                 reject newer frames cleanly with
 //!                                 `BadVersion`)
@@ -63,12 +63,15 @@ pub const MAGIC: [u8; 4] = *b"NMLC";
 /// [`ServerHealth`] scalar: the reply-pool and dispatch-plane counters
 /// follow the v4 ones. v6 drops the three reply-pool counters (the daemon
 /// encodes each reply into its thread's own buffer), leaving 33 scalars.
+/// v7 drops the four scalars of the sharded dispatch plane (enqueue
+/// contention, queue steals, the shard depth peak and the shard count;
+/// the daemon has one dispatch queue), leaving 29.
 /// Older decoders reject newer frames with
 /// [`WireError::BadVersion`], and the daemon answers a down-version
 /// request with a [`ErrorCode::UnsupportedVersion`] reply encoded at the
 /// *client's* version (see [`unsupported_version_reply`]) so old
 /// structural decoders never see a CRC or framing failure.
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Maximum accepted payload length (guards allocation on hostile input).
@@ -660,14 +663,6 @@ nomloc_core::counter_set! {
         /// Connections evicted because their bounded outbound write buffer
         /// overflowed (a slow reader; v5).
         slow_readers_evicted,
-        /// Admissions that found their dispatch-shard lock held (v5).
-        enqueue_contention,
-        /// Micro-batches stolen from a sibling dispatch shard (v5).
-        queue_steals,
-        /// High-water mark of any single dispatch shard's queue depth (v5).
-        shard_depth_peak,
-        /// Dispatch shards of the daemon's plane (v5).
-        queue_shards,
     }
     extra {
         /// Per-venue serving counters, one record per onboarded venue
@@ -700,16 +695,6 @@ impl fmt::Display for ServerHealth {
             self.batches_formed, self.batch_size_p50, self.batch_size_max
         )?;
         writeln!(f, "  queue depth peak      {}", self.queue_depth_peak)?;
-        if self.queue_shards > 1 {
-            writeln!(
-                f,
-                "  dispatch shards       {} (shard depth peak {}, steals {}, enqueue contention {})",
-                self.queue_shards,
-                self.shard_depth_peak,
-                self.queue_steals,
-                self.enqueue_contention
-            )?;
-        }
         if self.reply_bytes_encoded > 0 {
             writeln!(f, "  reply bytes encoded   {}", self.reply_bytes_encoded)?;
         }
@@ -1660,12 +1645,12 @@ mod tests {
 
     #[test]
     fn old_decoders_reject_current_frames_cleanly() {
-        // A v5 decoder checked `buf[4] != 5`; our v6 frames carry 6 there,
+        // A v6 decoder checked `buf[4] != 6`; our v7 frames carry 7 there,
         // so the old check fires BadVersion before any payload is touched.
         // Symmetrically, a down-version frame presented to this decoder is
         // rejected the same way.
         let mut bytes = frame_to_vec(&Frame::StatsRequest);
-        assert_eq!(bytes[4], 6, "frames are emitted at protocol v6");
+        assert_eq!(bytes[4], 7, "frames are emitted at protocol v7");
         for old in 1..VERSION {
             bytes[4] = old;
             assert!(matches!(
@@ -1844,16 +1829,16 @@ mod tests {
     }
 
     #[test]
-    fn v6_health_drops_the_reply_pool_counters() {
-        // v6 keeps the 27 v4 scalars in place, then `reply_bytes_encoded`
-        // and the five slow-reader and dispatch-plane counters, in
-        // declaration order (v5's three reply-pool counters are gone); the
-        // venue-record count follows the last scalar.
+    fn v7_health_drops_the_dispatch_shard_counters() {
+        // v7 keeps the 27 v4 scalars in place, then `reply_bytes_encoded`
+        // and `slow_readers_evicted`, in declaration order (v5's three
+        // reply-pool counters went in v6, its four dispatch-shard counters
+        // in v7); the venue-record count follows the last scalar.
         let mut health = ServerHealth::default();
         for (i, slot) in health.values_mut().into_iter().enumerate() {
             *slot = i as u64 + 1;
         }
-        assert_eq!(ServerHealth::LEN, 33);
+        assert_eq!(ServerHealth::LEN, 29);
         let bytes = frame_to_vec(&Frame::StatsResponse(health.clone()));
         let word = |i: usize| {
             let at = HEADER_LEN + 8 * i;
@@ -1862,8 +1847,8 @@ mod tests {
         assert_eq!(word(26), health.tracker_rejections);
         assert_eq!(word(27), health.reply_bytes_encoded);
         assert_eq!(word(28), health.slow_readers_evicted);
-        assert_eq!(word(32), health.queue_shards);
-        assert_eq!(bytes.len(), HEADER_LEN + 8 * 33 + 4);
+        assert_eq!(bytes[HEADER_LEN + 8 * 29..], 0u32.to_le_bytes());
+        assert_eq!(bytes.len(), HEADER_LEN + 8 * 29 + 4);
         assert_eq!(
             decode_frame(&bytes).unwrap().0,
             Frame::StatsResponse(health)

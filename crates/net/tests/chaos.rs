@@ -721,7 +721,7 @@ fn chaos_runs_are_deterministic_in_the_seed() {
 
 /// A sessioned run under the batcher kill knob replays bit-identically:
 /// a killed batcher requeues its batch at the front of the batch venue's
-/// own shard, so every session-smoothed coordinate matches the
+/// FIFO, so every session-smoothed coordinate matches the
 /// verifier's per-session tracker replay. A lost, duplicated, or
 /// reordered requeue would diverge the session state and fail the
 /// replay.

@@ -309,8 +309,8 @@ fn estimate_bits(e: &WireEstimate) -> [u64; 10] {
 }
 
 /// Run to completion: a lone request at an idle daemon is solved on the
-/// event loop that read it. The dispatch plane is never touched — no
-/// queue depth, no steal — yet every request still counts as one batch,
+/// event loop that read it. The dispatch queue is never touched — no
+/// queue depth — yet every request still counts as one batch,
 /// and every reply is bit-identical to the in-process server's.
 #[test]
 fn lone_requests_are_solved_on_the_loop_bit_for_bit() {
@@ -322,8 +322,8 @@ fn lone_requests_are_solved_on_the_loop_bit_for_bit() {
     stream.set_nodelay(true).unwrap();
     for id in 0..N {
         // Each request is awaited, then the next one waits 2 ms: it
-        // arrives alone, at a plane that is empty with its batchers
-        // parked again.
+        // arrives alone, at a queue that is empty with its batchers
+        // waiting again.
         std::thread::sleep(Duration::from_millis(2));
         let request = LocateRequest {
             request_id: id,
@@ -352,14 +352,13 @@ fn lone_requests_are_solved_on_the_loop_bit_for_bit() {
     }
     let health = handle.shutdown();
     assert_eq!(health.queue_depth_peak, 0, "a request was queued: {health}");
-    assert_eq!(health.queue_steals, 0, "{health}");
     assert_eq!(health.batches_formed, N, "{health}");
     assert_eq!(health.requests_enqueued, N, "{health}");
     assert_eq!(health.requests_ok, N, "{health}");
 }
 
 /// The twin of the run-to-completion test: frames pipelined in one write
-/// are not lone, so they go through the dispatch plane and batch there,
+/// are not lone, so they go through the dispatch queue and batch there,
 /// with no batcher pause holding them back.
 #[test]
 fn pipelined_frames_still_batch_through_the_plane() {
@@ -521,10 +520,8 @@ fn stats_frame_reports_health() {
     assert!(health.connections_accepted >= 1);
     assert!(health.requests_enqueued >= 1);
     assert!(health.frames_in >= 2);
-    // Every scalar travels on the wire (since v5), including the
-    // dispatch-plane and reply counters that older versions kept
-    // daemon-local.
-    assert_eq!(health.queue_shards, 8);
+    // Every scalar travels on the wire (since v5), including the reply
+    // counter that older versions kept daemon-local.
     assert!(health.reply_bytes_encoded > 0);
     handle.shutdown();
 }
@@ -654,15 +651,14 @@ fn slow_reader_is_evicted_without_stalling_loop_mates() {
     assert_eq!(health.slow_readers_evicted, 1, "health mirrors: {health}");
 }
 
-/// Fairness under work stealing: while one venue floods the plane with a
-/// sustained hot backlog, a single request for a cold venue is still
-/// answered within a bounded number of batches. The per-shard per-venue
-/// round-robin (and the batcher's round-robin over its owned shards)
-/// guarantees the cold venue's turn comes after at most a few batches; a
-/// FIFO queue would drain the entire hot backlog first. The throttle
-/// makes the two outcomes cleanly separable: draining 160 hot requests
-/// at 8 per 25 ms-paused batch takes ≥ 500 ms, while a fair plane
-/// answers the cold request in a handful of batch pauses.
+/// Fairness: while one venue floods the queue with a sustained hot
+/// backlog, a single request for a cold venue is still answered within a
+/// bounded number of batches. The per-venue round robin guarantees the
+/// cold venue's turn comes after at most a few batches; a plain FIFO
+/// queue would drain the entire hot backlog first. The throttle makes the
+/// two outcomes cleanly separable: draining 160 hot requests at 8 per
+/// 25 ms-paused batch takes ≥ 500 ms, while a fair queue answers the cold
+/// request in a handful of batch pauses.
 #[test]
 fn cold_venue_is_answered_under_hot_flood() {
     const HOT: usize = 160;
@@ -742,7 +738,7 @@ fn cold_venue_is_answered_under_hot_flood() {
 
 /// Closed-loop loadgen smoke: `concurrency: N` drives N synchronous
 /// workers (send-one-wait-one, each on its own connection) against the
-/// sharded plane, every request is answered with a strict reply-id
+/// dispatch queue, every request is answered with a strict reply-id
 /// match, and the report carries per-worker latency quantiles.
 #[test]
 fn closed_loop_loadgen_measures_contended_dispatch() {

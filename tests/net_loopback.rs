@@ -6,7 +6,7 @@
 //! This is the protocol's determinism contract: `f64`s cross the wire as
 //! raw bits and the pipeline is RNG-free, so serving over TCP must change
 //! nothing — not even the low bit of a coordinate. This is the oracle
-//! for the daemon's socket layer and dispatch plane.
+//! for the daemon's socket layer and dispatch queue.
 
 use nomloc_core::scenario::Venue;
 use nomloc_core::server::CsiReport;
