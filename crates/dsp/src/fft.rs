@@ -7,6 +7,10 @@
 //! Cooley–Tukey kernel this module provides a Bluestein (chirp-z) fallback
 //! that handles any length exactly.
 //!
+//! The radix-2 kernel runs on precomputed plans ([`crate::plan`]) and is
+//! the only radix-2 kernel this crate ships. [`dft_naive`], the O(N²)
+//! definition, is the oracle the fast paths are tested against.
+//!
 //! All transforms use the convention
 //!
 //! ```text
@@ -96,50 +100,6 @@ pub fn fft_radix2(buf: &mut [Complex], inverse: bool) {
     crate::plan::with_thread_plan(n, |plan| plan.process(buf, inverse));
 }
 
-/// The pre-plan iterative radix-2 kernel, kept as a benchmark baseline and
-/// accuracy reference: it recomputes the bit-reversal permutation per call
-/// and accumulates twiddles by repeated multiplication (`w *= wlen`),
-/// which drifts by one rounding error per butterfly.
-///
-/// Semantics match the planned kernel: in-place, no inverse normalization.
-pub fn fft_radix2_unplanned(buf: &mut [Complex], inverse: bool) {
-    let n = buf.len();
-    debug_assert!(n.is_power_of_two());
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = Complex::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let u = buf[start + k];
-                let v = buf[start + k + len / 2] * w;
-                buf[start + k] = u + v;
-                buf[start + k + len / 2] = u - v;
-                w *= wlen;
-            }
-        }
-        len <<= 1;
-    }
-}
-
 /// Bluestein's chirp-z algorithm: DFT of arbitrary N via a power-of-two
 /// convolution. No inverse normalization applied here.
 fn bluestein(x: &[Complex], inverse: bool) -> Vec<Complex> {
@@ -209,20 +169,6 @@ pub fn ifft_padded_into(x: &[Complex], min_len: usize, out: &mut Vec<Complex>) {
     out.extend_from_slice(x);
     out.resize(target, Complex::ZERO);
     fft_radix2(out, true);
-    let scale = 1.0 / target as f64;
-    for v in out.iter_mut() {
-        *v = v.scale(scale);
-    }
-}
-
-/// [`ifft_padded_into`] running the unplanned kernel. Benchmark baseline for
-/// the planned path; not used on the serving hot path.
-pub fn ifft_padded_into_unplanned(x: &[Complex], min_len: usize, out: &mut Vec<Complex>) {
-    let target = padded_len(x.len(), min_len);
-    out.clear();
-    out.extend_from_slice(x);
-    out.resize(target, Complex::ZERO);
-    fft_radix2_unplanned(out, true);
     let scale = 1.0 / target as f64;
     for v in out.iter_mut() {
         *v = v.scale(scale);
@@ -384,6 +330,43 @@ mod tests {
         assert_eq!(ifft_padded(&[], 0), vec![Complex::ZERO]);
     }
 
+    /// The pre-plan iterative radix-2 forward kernel, the reference the
+    /// twiddle-drift test measures the planned kernel against: it
+    /// accumulates twiddles by repeated multiplication (`w *= wlen`),
+    /// which drifts by one rounding error per butterfly. In place, like
+    /// [`fft_radix2`].
+    fn fft_radix2_unplanned(buf: &mut [Complex]) {
+        let n = buf.len();
+        // Bit-reversal permutation.
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let wlen = Complex::cis(-2.0 * PI / len as f64);
+            for start in (0..n).step_by(len) {
+                let mut w = Complex::ONE;
+                for k in 0..len / 2 {
+                    let u = buf[start + k];
+                    let v = buf[start + k + len / 2] * w;
+                    buf[start + k] = u + v;
+                    buf[start + k + len / 2] = u - v;
+                    w *= wlen;
+                }
+            }
+            len <<= 1;
+        }
+    }
+
     #[test]
     fn planned_twiddles_no_worse_than_iterative_on_adversarial_input() {
         // Regression for the twiddle rounding drift: the old kernel
@@ -401,7 +384,7 @@ mod tests {
         let mut planned = x.clone();
         fft_radix2(&mut planned, false);
         let mut iterative = x.clone();
-        fft_radix2_unplanned(&mut iterative, false);
+        fft_radix2_unplanned(&mut iterative);
 
         let err = |got: &[Complex]| -> f64 {
             got.iter()
@@ -418,24 +401,6 @@ mod tests {
         // And the planned kernel must be accurate in absolute terms: every
         // output has unit magnitude, so a few ulps is the right scale.
         assert!(planned_err < 1e-13, "planned error {planned_err:e}");
-    }
-
-    #[test]
-    fn unplanned_kernel_matches_planned_within_tolerance() {
-        for n in [2usize, 8, 64, 256] {
-            let x = signal(n);
-            let mut a = x.clone();
-            fft_radix2(&mut a, false);
-            let mut b = x.clone();
-            fft_radix2_unplanned(&mut b, false);
-            assert_close(&a, &b, 1e-8 * n as f64);
-        }
-        let x = signal(30);
-        let mut planned = Vec::new();
-        ifft_padded_into(&x, 256, &mut planned);
-        let mut unplanned = Vec::new();
-        ifft_padded_into_unplanned(&x, 256, &mut unplanned);
-        assert_close(&planned, &unplanned, 1e-10);
     }
 
     #[test]

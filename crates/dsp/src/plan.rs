@@ -1,12 +1,13 @@
 //! Precomputed FFT plans and a per-thread plan cache.
 //!
-//! The iterative radix-2 kernel in [`crate::fft`] recomputes the bit-reversal
+//! A textbook iterative radix-2 kernel recomputes the bit-reversal
 //! permutation on every call and generates twiddle factors by repeated
 //! complex multiplication (`w *= wlen`), which both wastes work and
 //! accumulates one rounding error per butterfly. An [`FftPlan`] does that
 //! work once per transform size: the swap pairs of the bit-reversal
 //! permutation and a per-stage twiddle table whose entries are each computed
-//! directly as `e^{±j2πk/len}` — no accumulated drift.
+//! directly as `e^{±j2πk/len}` — no accumulated drift. (The iterative
+//! kernel survives only in [`crate::fft`]'s tests, as the drift reference.)
 //!
 //! Plans are immutable after construction, so a [`PlanCache`] hands out
 //! shared references and each batcher thread reuses its plans across

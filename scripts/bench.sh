@@ -26,8 +26,6 @@ cargo run --release -p nomloc-bench --bin bench_json --offline
 
 echo "==> bench_serving_json -> BENCH_serving.json"
 cargo run --release -p nomloc-bench --bin bench_serving_json --offline
-fft_speedup=$(sed -n 's/.*"fft": {[^}]*"speedup": \([0-9.]*\).*/\1/p' BENCH_serving.json)
-echo "planned vs naive FFT speedup: ${fft_speedup}x (256-point kernel)"
 
 echo "==> loadgen quick throughput (loopback daemon, 4 connections)"
 cargo run --release -p nomloc-cli --bin nomloc --offline -- \
