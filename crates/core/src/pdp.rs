@@ -11,14 +11,6 @@ use nomloc_dsp::plan::with_thread_batch_plan;
 use nomloc_dsp::{fft, stats, Complex, SoaComplex, Window};
 use nomloc_rfsim::CsiSnapshot;
 
-/// Maximum lanes per batched IFFT dispatch.
-///
-/// Bounds the lane-major working set (`padded_len × lanes × 16 B`) so a
-/// chunk stays cache-resident: at the default 256-tap padding, 16 lanes is
-/// 64 KiB of split-complex data. The serving workload's 4 APs × 2 packets
-/// fit in one chunk; larger crowds just take more dispatches.
-const MAX_BATCH_LANES: usize = 16;
-
 /// Configuration of the PDP estimator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PdpEstimator {
@@ -45,7 +37,8 @@ impl Default for PdpEstimator {
 /// Reusable scratch buffers for PDP extraction.
 ///
 /// Holds every intermediate the estimator needs — the windowed CSI, the
-/// delay-domain IFFT output, and the per-packet PDPs of a burst — so that
+/// batched transform's input rows and working set, the delay-domain IFFT
+/// output, and the per-packet PDPs of a burst — so that
 /// after the first burst of a given shape the `_with` variants below run
 /// with zero steady-state allocation. One scratch per thread; the serving
 /// path keeps one in a thread-local on each batcher thread.
@@ -57,10 +50,11 @@ pub struct PdpScratch {
     tapered: Vec<Complex>,
     /// Per-packet PDPs of the burst currently being aggregated.
     per_packet: Vec<f64>,
-    /// Lane-major split-complex buffer for batched IFFT dispatches.
-    soa: SoaComplex,
-    /// Per-lane peak powers of the batched dispatch in flight.
-    lane_peaks: Vec<f64>,
+    /// Tapered CSI of every batched snapshot, one lane each (lane-major,
+    /// unpadded).
+    rows: SoaComplex,
+    /// Working set of the batched transform, one chunk of lanes.
+    work: SoaComplex,
 }
 
 impl PdpScratch {
@@ -146,10 +140,10 @@ impl PdpEstimator {
     /// allocating variant (`median_in_place` replicates `median` exactly).
     ///
     /// A burst of ≥2 same-length snapshots runs through the batched SoA
-    /// kernel — one lockstep IFFT traversal for the whole burst — which is
-    /// bit-identical per packet to the scalar path (see
-    /// [`DelayProfile::peak_powers_from_batch_with`]); mixed-length bursts
-    /// fall back to the per-snapshot kernel.
+    /// kernel — one lockstep IFFT traversal per chunk of the burst — which
+    /// is bit-identical per packet to the scalar path (see
+    /// [`DelayProfile::peak_powers_from_csi_rows_with`]); mixed-length
+    /// bursts fall back to the per-snapshot kernel.
     pub fn pdp_of_burst_with(
         &self,
         burst: &[CsiSnapshot],
@@ -180,12 +174,13 @@ impl PdpEstimator {
     /// [`PdpEstimator::pdp_of_burst_with`]`(bursts[i])`.
     ///
     /// When every snapshot across every burst has the same CSI length, the
-    /// whole set is flattened into lane-major chunks of up to
-    /// `MAX_BATCH_LANES` lanes and run through the batched kernel —
-    /// cross-report batching fills far more vector lanes than any single
-    /// burst (the serving workload has 2-packet bursts but 8+ snapshots per
-    /// request). The flat peak sequence is then segmented back per burst
-    /// for the median. Mixed-length inputs fall back per burst.
+    /// whole set is flattened into one lane per snapshot and run through
+    /// the batched kernel, which chunks the lanes to its working-set
+    /// budget (8 lanes at the default 256 taps) — cross-report batching
+    /// fills far more vector lanes than any single burst (the serving
+    /// workload has 2-packet bursts but 8+ snapshots per request). The
+    /// flat peak sequence is then segmented back per burst for the median.
+    /// Mixed-length inputs fall back per burst.
     pub fn pdp_of_bursts_with(
         &self,
         bursts: &[&[CsiSnapshot]],
@@ -225,9 +220,9 @@ impl PdpEstimator {
         scratch.per_packet = flat;
     }
 
-    /// Packs `total` snapshots of CSI length `n` (produced by `next`, in
-    /// order) into lane-major chunks and appends one peak power per
-    /// snapshot to `out` via the batched kernel.
+    /// Tapers `total` snapshots of CSI length `n` (produced by `next`, in
+    /// order) into one lane each and writes one peak power per snapshot
+    /// to `out` via the batched kernel.
     ///
     /// Mirrors the scalar path's validation panics per snapshot ("CSI must
     /// not be empty", "bandwidth must be positive") before transforming.
@@ -239,35 +234,33 @@ impl PdpEstimator {
         scratch: &mut PdpScratch,
         out: &mut Vec<f64>,
     ) {
-        let padded = fft::padded_len(n, self.min_taps);
-        let mut done = 0usize;
-        while done < total {
-            let lanes = MAX_BATCH_LANES.min(total - done);
-            with_thread_batch_plan(padded, |plan| {
-                scratch.soa.reset(padded * lanes);
-                for lane in 0..lanes {
-                    let snap = next();
-                    assert!(!snap.h.is_empty(), "CSI must not be empty");
-                    let bandwidth = snap.grid.mean_spacing_hz() * n as f64;
-                    assert!(bandwidth > 0.0, "bandwidth must be positive");
-                    self.window.apply_into(&snap.h, &mut scratch.tapered);
-                    // Scatter each tapered row straight into bit-reversed
-                    // positions so the batched inverse can skip its swap
-                    // traversal (rows past the CSI length stay zero from
-                    // the reset — zeros are permutation-invariant).
-                    plan.scatter_lane(&mut scratch.soa, lane, lanes, &scratch.tapered);
-                }
-                DelayProfile::peak_powers_from_prepermuted_batch_with(
-                    plan,
-                    &mut scratch.soa,
-                    lanes,
-                    n,
-                    &mut scratch.lane_peaks,
-                );
-            });
-            out.extend_from_slice(&scratch.lane_peaks);
-            done += lanes;
+        // Every lane's `n` rows are written below, so the buffer needs
+        // its length, not zeros.
+        scratch.rows.re.resize(n * total, 0.0);
+        scratch.rows.im.resize(n * total, 0.0);
+        for lane in 0..total {
+            let snap = next();
+            assert!(!snap.h.is_empty(), "CSI must not be empty");
+            let bandwidth = snap.grid.mean_spacing_hz() * n as f64;
+            assert!(bandwidth > 0.0, "bandwidth must be positive");
+            // The rectangular taper is a copy: skip it.
+            let row = if self.window == Window::Rectangular {
+                &snap.h
+            } else {
+                self.window.apply_into(&snap.h, &mut scratch.tapered);
+                &scratch.tapered
+            };
+            scratch.rows.write_lane(lane, total, row);
         }
+        with_thread_batch_plan(fft::padded_len(n, self.min_taps), |plan| {
+            DelayProfile::peak_powers_from_csi_rows_with(
+                plan,
+                &scratch.rows,
+                total,
+                &mut scratch.work,
+                out,
+            );
+        });
     }
 
     /// Array PDP with selection combining: the maximum per-antenna burst
@@ -515,6 +508,44 @@ mod tests {
                     .collect();
                 let oracle = stats::median_in_place(&mut peaks);
                 assert_eq!(batched, oracle, "{window:?} n_packets={n_packets}");
+            }
+        }
+    }
+
+    #[test]
+    fn lab_dense_shape_matches_per_snapshot_oracle() {
+        // The `lab-dense` request: 4 APs × 16 packets of 30 subcarriers,
+        // 64 lanes through the batched kernel in 8-lane chunks. Each
+        // burst's median must equal the per-snapshot scalar kernel's,
+        // bit for bit.
+        let env = open_env();
+        let grid = SubcarrierGrid::intel5300();
+        let mut rng = StdRng::seed_from_u64(24);
+        let object = Point::new(6.0, 5.0);
+        let aps = [
+            Point::new(1.0, 1.0),
+            Point::new(19.0, 1.0),
+            Point::new(19.0, 11.0),
+            Point::new(1.0, 11.0),
+        ];
+        let bursts_owned: Vec<Vec<CsiSnapshot>> = aps
+            .iter()
+            .map(|&ap| env.sample_csi_burst(object, ap, &grid, 16, &mut rng))
+            .collect();
+        let bursts: Vec<&[CsiSnapshot]> = bursts_owned.iter().map(|b| b.as_slice()).collect();
+        for window in [Window::Rectangular, Window::Hann] {
+            let est = PdpEstimator::new().with_window(window);
+            let mut batched = Vec::new();
+            est.pdp_of_bursts_with(&bursts, &mut PdpScratch::new(), &mut batched);
+            let mut scratch = PdpScratch::new();
+            for (burst, got) in bursts_owned.iter().zip(&batched) {
+                let mut peaks: Vec<f64> = burst
+                    .iter()
+                    .map(|s| est.pdp_of_snapshot_with(s, &mut scratch))
+                    .collect();
+                let want = stats::median_in_place(&mut peaks).expect("non-empty burst");
+                let got = got.expect("non-empty burst");
+                assert_eq!(got.to_bits(), want.to_bits(), "{window:?}");
             }
         }
     }

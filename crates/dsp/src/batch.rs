@@ -45,7 +45,7 @@ fn row<const L: usize>(s: &mut [f64]) -> &mut [f64; L] {
 /// The twiddle-free butterfly (`w = 1`): `u' = u + v; v' = u − v` across
 /// all lanes. Per lane this is exactly the scalar kernel's len = 2 stage.
 #[inline(always)]
-fn bf2<const L: usize>(
+pub(crate) fn bf2<const L: usize>(
     u_re: &mut [f64; L],
     u_im: &mut [f64; L],
     v_re: &mut [f64; L],
@@ -65,7 +65,7 @@ fn bf2<const L: usize>(
 /// components across all lanes. Same per-lane float op order as
 /// `FftPlan::process` — the bit-identity contract depends on it.
 #[inline(always)]
-fn bf<const L: usize>(
+pub(crate) fn bf<const L: usize>(
     u_re: &mut [f64; L],
     u_im: &mut [f64; L],
     v_re: &mut [f64; L],
@@ -95,12 +95,37 @@ fn scale_row<const L: usize>(r: &mut [f64; L], s: f64) {
     }
 }
 
+/// The two butterfly stages of one radix-2² block on lane rows held in
+/// registers, `v = [a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im]`:
+/// stage `len` pairs (a, b) and (c, d) with `w1` (the twiddle-free
+/// butterfly when `None`), stage `2·len` pairs (a, c) with `w2.0` and
+/// (b, d) with `w2.1`. Per lane the float ops and their order are those
+/// of [`bf2`]/[`bf`].
+#[inline(always)]
+pub(crate) fn quad_regs<const L: usize>(
+    v: &mut [[f64; L]; 8],
+    w1: Option<Complex>,
+    w2: (Complex, Complex),
+) {
+    let [ar, ai, br, bi, cr, ci, dr, di] = v;
+    match w1 {
+        Some(w) => {
+            bf::<L>(ar, ai, br, bi, w);
+            bf::<L>(cr, ci, dr, di, w);
+        }
+        None => {
+            bf2::<L>(ar, ai, br, bi);
+            bf2::<L>(cr, ci, dr, di);
+        }
+    }
+    bf::<L>(ar, ai, cr, ci, w2.0);
+    bf::<L>(br, bi, dr, di, w2.1);
+}
+
 /// One block of a fused radix-2² pass, held in registers: the eight lane
 /// rows `[a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im]` are copied
-/// into locals, stage `len` pairs (a, b) and (c, d) with `w1` (the
-/// twiddle-free butterfly when `None`), stage `2·len` pairs (a, c) with
-/// `w2.0` and (b, d) with `w2.1`, the optional scale is applied, and each
-/// row is stored back once.
+/// into locals, both stages run there ([`quad_regs`]), the optional
+/// scale is applied, and each row is stored back once.
 ///
 /// Working on locals keeps the first stage's results out of memory. The
 /// rows of one block sit a power-of-two stride apart, so storing them
@@ -116,19 +141,7 @@ fn quad<const L: usize>(
     scale: Option<f64>,
 ) {
     let mut v: [[f64; L]; 8] = std::array::from_fn(|k| *row::<L>(&mut *rows[k]));
-    let [ar, ai, br, bi, cr, ci, dr, di] = &mut v;
-    match w1 {
-        Some(w) => {
-            bf::<L>(ar, ai, br, bi, w);
-            bf::<L>(cr, ci, dr, di, w);
-        }
-        None => {
-            bf2::<L>(ar, ai, br, bi);
-            bf2::<L>(cr, ci, dr, di);
-        }
-    }
-    bf::<L>(ar, ai, cr, ci, w2.0);
-    bf::<L>(br, bi, dr, di, w2.1);
+    quad_regs::<L>(&mut v, w1, w2);
     if let Some(s) = scale {
         for r in v.iter_mut() {
             scale_row::<L>(r, s);
@@ -136,6 +149,70 @@ fn quad<const L: usize>(
     }
     for (dst, src) in rows.into_iter().zip(&v) {
         *row::<L>(dst) = *src;
+    }
+}
+
+/// Stage `len`'s twiddles (`len/2` entries) in a plan's concatenated
+/// table, which holds stages 4, 8, …, so stage `len` starts at
+/// `Σ_{l<len} l/2 = len/2 − 2`.
+#[inline(always)]
+pub(crate) fn stage_twiddles(table: &[Complex], len: usize) -> &[Complex] {
+    &table[len / 2 - 2..len - 2]
+}
+
+/// One fused radix-2² pass over stages `len` and `2·len`: within each
+/// `2·len`-row block the four quarter-runs hold rows a = k,
+/// b = k + len/2, c = len + k, d = len + k + len/2; stage `len` pairs
+/// (a, b) and (c, d) with its twiddle `k` (none at `len = 2`) and stage
+/// `2·len` pairs (a, c) and (b, d) with its twiddles `k` and `k + len/2`.
+/// All four rows are loaded and stored once ([`quad`]), with `scale`
+/// fused into the stores.
+#[inline(always)]
+pub(crate) fn fused_pass<const L: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    table: &[Complex],
+    len: usize,
+    scale: Option<f64>,
+) {
+    let half = len / 2;
+    // Empty at len = 2, whose stage is twiddle-free: `get` yields None.
+    let tw1 = if len >= 4 {
+        stage_twiddles(table, len)
+    } else {
+        &[]
+    };
+    let (tw2a, tw2b) = stage_twiddles(table, 2 * len).split_at(half);
+    for (block_re, block_im) in re
+        .chunks_exact_mut(2 * len * L)
+        .zip(im.chunks_exact_mut(2 * len * L))
+    {
+        let (h0_re, h1_re) = block_re.split_at_mut(len * L);
+        let (h0_im, h1_im) = block_im.split_at_mut(len * L);
+        let (a_re, b_re) = h0_re.split_at_mut(half * L);
+        let (a_im, b_im) = h0_im.split_at_mut(half * L);
+        let (c_re, d_re) = h1_re.split_at_mut(half * L);
+        let (c_im, d_im) = h1_im.split_at_mut(half * L);
+        for (k, (((((((((a_re, a_im), b_re), b_im), c_re), c_im), d_re), d_im), w2a), w2b)) in a_re
+            .chunks_exact_mut(L)
+            .zip(a_im.chunks_exact_mut(L))
+            .zip(b_re.chunks_exact_mut(L))
+            .zip(b_im.chunks_exact_mut(L))
+            .zip(c_re.chunks_exact_mut(L))
+            .zip(c_im.chunks_exact_mut(L))
+            .zip(d_re.chunks_exact_mut(L))
+            .zip(d_im.chunks_exact_mut(L))
+            .zip(tw2a)
+            .zip(tw2b)
+            .enumerate()
+        {
+            quad::<L>(
+                [a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im],
+                tw1.get(k).copied(),
+                (*w2a, *w2b),
+                scale,
+            );
+        }
     }
 }
 
@@ -169,10 +246,10 @@ fn quad<const L: usize>(
 #[derive(Debug, Clone)]
 pub struct BatchFftPlan {
     plan: Rc<FftPlan>,
-    /// Full bit-reversal permutation: `bitrev[i]` is where the swap pass
-    /// would move row `i`. Lets fill paths scatter rows straight into
-    /// their post-permutation positions so the transform can skip the
-    /// swap traversal entirely (see [`Self::scatter_lane`]).
+    /// Full bit-reversal permutation: `bitrev[i]` is the input row the
+    /// swap pass moves into row `i` (and vice versa: it is an
+    /// involution). The zero-padded PDP transform reads its live inputs
+    /// through it instead of running the swap pass.
     bitrev: Vec<u32>,
 }
 
@@ -190,8 +267,7 @@ impl BatchFftPlan {
     pub fn from_plan(plan: Rc<FftPlan>) -> Self {
         // Reconstruct the full permutation by replaying the plan's swap
         // pairs on an identity map — `bitrev` then moves rows exactly as
-        // the swap pass does (bit reversal is an involution, so this is
-        // also the scatter target of each logical row).
+        // the swap pass does.
         let mut bitrev: Vec<u32> = (0..plan.len() as u32).collect();
         for &(i, j) in plan.swaps() {
             bitrev.swap(i as usize, j as usize);
@@ -224,82 +300,19 @@ impl BatchFftPlan {
     ///
     /// Panics when `lanes` is zero or `buf.len() != len() * lanes`.
     pub fn process(&self, buf: &mut SoaComplex, lanes: usize, inverse: bool) {
-        self.run(buf, lanes, inverse, None, false);
+        self.run(buf, lanes, inverse, None);
     }
 
-    /// Writes `values` into lane `lane` with every row already at its
-    /// bit-reversed position: `values[i]` lands in row `bitrev[i]`.
-    ///
-    /// A batch filled this way (into a freshly [`SoaComplex::reset`]
-    /// buffer, so untouched rows are zero — and zero rows are invariant
-    /// under any permutation) is in exactly the state the swap pass would
-    /// produce, so [`Self::process_prepermuted`] can skip that full-buffer
-    /// traversal. Pure data movement, no arithmetic: results stay
-    /// bit-identical to [`SoaComplex::write_lane`] + [`Self::process`].
-    ///
-    /// Like `write_lane`, `values` may be shorter than the transform
-    /// length (the zero-padded fill path); rows past `values.len()` are
-    /// left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane >= lanes`, `buf.len() != len() * lanes`, or
-    /// `values.len() > len()`.
-    pub fn scatter_lane(
-        &self,
-        buf: &mut SoaComplex,
-        lane: usize,
-        lanes: usize,
-        values: &[Complex],
-    ) {
-        assert!(lane < lanes, "lane index out of range");
-        assert_eq!(
-            buf.len(),
-            self.plan.len() * lanes,
-            "buffer length must match plan size × lanes"
-        );
-        assert!(
-            values.len() <= self.plan.len(),
-            "lane data must fit the transform length"
-        );
-        for (v, &p) in values.iter().zip(&self.bitrev) {
-            let at = p as usize * lanes + lane;
-            buf.re[at] = v.re;
-            buf.im[at] = v.im;
-        }
-    }
-
-    /// [`Self::process`] for a batch whose rows are already bit-reversed
-    /// (filled via [`Self::scatter_lane`]): runs the butterfly stages
-    /// without the swap traversal. Bit-identical to the unpermuted path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is zero or `buf.len() != len() * lanes`.
-    pub fn process_prepermuted(&self, buf: &mut SoaComplex, lanes: usize, inverse: bool) {
-        self.run(buf, lanes, inverse, None, true);
-    }
-
-    /// [`Self::inverse`] for a batch filled via [`Self::scatter_lane`]:
-    /// skips the swap traversal, keeps the fused `1/N` normalization.
-    pub fn inverse_prepermuted(&self, buf: &mut SoaComplex, lanes: usize) {
-        let scale = 1.0 / self.plan.len() as f64;
-        self.run(buf, lanes, true, Some(scale), true);
+    /// The full bit-reversal permutation of this plan's length.
+    pub(crate) fn bitrev(&self) -> &[u32] {
+        &self.bitrev
     }
 
     /// Shared entry for [`Self::process`] (`scale: None`) and
     /// [`Self::inverse`] (`scale: Some(1/N)`, folded into the final
-    /// pass's stores). `prepermuted` skips the bit-reversal swap pass for
-    /// batches scattered directly into permuted row order.
-    fn run(
-        &self,
-        buf: &mut SoaComplex,
-        lanes: usize,
-        inverse: bool,
-        scale: Option<f64>,
-        prepermuted: bool,
-    ) {
-        simd::run(self.transform(buf, lanes, inverse, scale, prepermuted));
+    /// pass's stores).
+    fn run(&self, buf: &mut SoaComplex, lanes: usize, inverse: bool, scale: Option<f64>) {
+        simd::run(self.transform(buf, lanes, inverse, scale));
     }
 
     /// Validates a batch and binds it to this plan's tables.
@@ -309,7 +322,6 @@ impl BatchFftPlan {
         lanes: usize,
         inverse: bool,
         scale: Option<f64>,
-        prepermuted: bool,
     ) -> Transform<'a> {
         let n = self.plan.len();
         assert!(lanes > 0, "batch must have at least one lane");
@@ -322,7 +334,7 @@ impl BatchFftPlan {
             re: buf.re.as_mut_slice(),
             im: buf.im.as_mut_slice(),
             lanes,
-            swaps: if prepermuted { &[] } else { self.plan.swaps() },
+            swaps: self.plan.swaps(),
             table: self.plan.twiddles(inverse),
             n,
             scale,
@@ -331,13 +343,12 @@ impl BatchFftPlan {
 
     /// The full post-validation transform for a compile-time lane count:
     /// bit-reversal row swaps, then the butterfly stages walked as
-    /// *fused pairs* — each pass loads four lane rows once, applies both
-    /// stages' butterflies in registers (radix-2² traversal), and stores
-    /// once. The batch at the serving shape (8 lanes × 256 taps, 32 KiB
-    /// split-complex) overflows a 32 KiB L1d, so halving the number of
-    /// full-buffer traversals is where the batched win comes from; the
-    /// per-value computation dags are untouched, so results stay
-    /// bit-identical to the per-packet kernel.
+    /// *fused pairs* ([`fused_pass`]) — each pass loads four lane rows
+    /// once, applies both stages' butterflies in registers (radix-2²
+    /// traversal), and stores once, halving the full-buffer traversals.
+    /// An odd stage count runs its lone twiddle-free `len = 2` stage
+    /// first, never last: a trailing single stage walks the whole buffer
+    /// with twiddles for half a pass's work.
     ///
     /// When `scale` is set the multiply is applied at the final pass's
     /// stores (one multiply per value, exactly what a separate scale pass
@@ -364,40 +375,17 @@ impl BatchFftPlan {
             let (lo, hi) = im.split_at_mut(j);
             lo[i..i + L].swap_with_slice(&mut hi[..L]);
         }
-        let mut off = 0;
-        let mut len;
-        if n >= 4 {
-            // Fused (len = 2, len = 4) pass: blocks of four rows
-            // (a, b, c, d); stage 2 is the twiddle-free pairs (a, b) and
-            // (c, d), stage 4 couples (a, c) and (b, d) with the first
-            // two table entries.
-            let pass_scale = if n == 4 { scale } else { None };
-            let (w20, w21) = (table[0], table[1]);
-            off = 2;
-            for (block_re, block_im) in re.chunks_exact_mut(4 * L).zip(im.chunks_exact_mut(4 * L)) {
-                let (h0_re, h1_re) = block_re.split_at_mut(2 * L);
-                let (h0_im, h1_im) = block_im.split_at_mut(2 * L);
-                let (a_re, b_re) = h0_re.split_at_mut(L);
-                let (a_im, b_im) = h0_im.split_at_mut(L);
-                let (c_re, d_re) = h1_re.split_at_mut(L);
-                let (c_im, d_im) = h1_im.split_at_mut(L);
-                quad::<L>(
-                    [a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im],
-                    None,
-                    (w20, w21),
-                    pass_scale,
-                );
-            }
-            len = 8;
-        } else {
-            // n == 2: the lone twiddle-free stage, with the scale fused
-            // into its stores when requested.
+        let mut len = 2;
+        if n.trailing_zeros() % 2 == 1 {
+            // Odd stage count: the lone twiddle-free stage, with the
+            // scale fused into its stores when it is the only stage.
+            let stage_scale = if n == 2 { scale } else { None };
             for (pair_re, pair_im) in re.chunks_exact_mut(2 * L).zip(im.chunks_exact_mut(2 * L)) {
                 let (ur, vr) = pair_re.split_at_mut(L);
                 let (ui, vi) = pair_im.split_at_mut(L);
                 let (ur, ui, vr, vi) = (row::<L>(ur), row::<L>(ui), row::<L>(vr), row::<L>(vi));
                 bf2::<L>(ur, ui, vr, vi);
-                if let Some(s) = scale {
+                if let Some(s) = stage_scale {
                     scale_row::<L>(ur, s);
                     scale_row::<L>(ui, s);
                     scale_row::<L>(vr, s);
@@ -406,82 +394,10 @@ impl BatchFftPlan {
             }
             len = 4;
         }
-        while len <= n {
-            let half = len / 2;
-            if 2 * len <= n {
-                // Fused (len, 2·len) pass: within one 2·len block the
-                // four quarter-runs hold rows a = k, b = k + half,
-                // c = len + k, d = len + k + half — stage `len` pairs
-                // (a, b) and (c, d) with w1[k] and stage `2·len` pairs
-                // (a, c) with w2[k] and (b, d) with w2[k + half]. All
-                // four rows are loaded and stored once per fused pass.
-                let pass_scale = if 2 * len == n { scale } else { None };
-                let tw1 = &table[off..off + half];
-                let (tw2a, tw2b) = table[off + half..off + half + len].split_at(half);
-                off += half + len;
-                for (block_re, block_im) in re
-                    .chunks_exact_mut(2 * len * L)
-                    .zip(im.chunks_exact_mut(2 * len * L))
-                {
-                    let (h0_re, h1_re) = block_re.split_at_mut(len * L);
-                    let (h0_im, h1_im) = block_im.split_at_mut(len * L);
-                    let (a_re, b_re) = h0_re.split_at_mut(half * L);
-                    let (a_im, b_im) = h0_im.split_at_mut(half * L);
-                    let (c_re, d_re) = h1_re.split_at_mut(half * L);
-                    let (c_im, d_im) = h1_im.split_at_mut(half * L);
-                    for (((((((((a_re, a_im), b_re), b_im), c_re), c_im), d_re), d_im), w1), w2) in
-                        a_re.chunks_exact_mut(L)
-                            .zip(a_im.chunks_exact_mut(L))
-                            .zip(b_re.chunks_exact_mut(L))
-                            .zip(b_im.chunks_exact_mut(L))
-                            .zip(c_re.chunks_exact_mut(L))
-                            .zip(c_im.chunks_exact_mut(L))
-                            .zip(d_re.chunks_exact_mut(L))
-                            .zip(d_im.chunks_exact_mut(L))
-                            .zip(tw1)
-                            .zip(tw2a.iter().zip(tw2b))
-                    {
-                        quad::<L>(
-                            [a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im],
-                            Some(*w1),
-                            (*w2.0, *w2.1),
-                            pass_scale,
-                        );
-                    }
-                }
-                len <<= 2;
-            } else {
-                // Trailing single stage (odd stage count): the plain
-                // planned butterfly walk, scale fused into its stores.
-                let pass_scale = if len == n { scale } else { None };
-                let tw = &table[off..off + half];
-                off += half;
-                for (block_re, block_im) in re
-                    .chunks_exact_mut(len * L)
-                    .zip(im.chunks_exact_mut(len * L))
-                {
-                    let (u_re, v_re) = block_re.split_at_mut(half * L);
-                    let (u_im, v_im) = block_im.split_at_mut(half * L);
-                    for ((((ur, ui), vr), vi), w) in u_re
-                        .chunks_exact_mut(L)
-                        .zip(u_im.chunks_exact_mut(L))
-                        .zip(v_re.chunks_exact_mut(L))
-                        .zip(v_im.chunks_exact_mut(L))
-                        .zip(tw)
-                    {
-                        let (ur, ui, vr, vi) =
-                            (row::<L>(ur), row::<L>(ui), row::<L>(vr), row::<L>(vi));
-                        bf::<L>(ur, ui, vr, vi, *w);
-                        if let Some(s) = pass_scale {
-                            scale_row::<L>(ur, s);
-                            scale_row::<L>(ui, s);
-                            scale_row::<L>(vr, s);
-                            scale_row::<L>(vi, s);
-                        }
-                    }
-                }
-                len <<= 1;
-            }
+        while len < n {
+            let pass_scale = if 2 * len == n { scale } else { None };
+            fused_pass::<L>(re, im, table, len, pass_scale);
+            len <<= 2;
         }
     }
 
@@ -598,7 +514,7 @@ impl BatchFftPlan {
     /// batched kernel).
     pub fn inverse(&self, buf: &mut SoaComplex, lanes: usize) {
         let scale = 1.0 / self.plan.len() as f64;
-        self.run(buf, lanes, true, Some(scale), false);
+        self.run(buf, lanes, true, Some(scale));
     }
 }
 
@@ -645,11 +561,9 @@ impl Kernel for Transform<'_> {
         // LLVM unrolls into straight packed instructions with no
         // per-butterfly trip-count checks, remainder loops, or runtime
         // aliasing guards (a dynamic `lanes` pays vector-loop entry
-        // overhead comparable to the butterfly's own arithmetic). The
-        // serving hot path batches 8 lanes (4 APs × 2 packets) and chunks
-        // larger bursts at 16, so those widths matter most; small burst
-        // sizes get arms too because `pdp_of_burst` batches at the burst
-        // length.
+        // overhead comparable to the butterfly's own arithmetic). The PDP
+        // serving path runs the pruned transform (`crate::pruned`), not
+        // this one, except for CSI rows of at most four subcarriers.
         match lanes {
             2 => BatchFftPlan::kernel::<2>(re, im, swaps, table, n, scale),
             3 => BatchFftPlan::kernel::<3>(re, im, swaps, table, n, scale),
@@ -716,7 +630,7 @@ mod tests {
     fn avx2_build_matches_baseline_build_bit_for_bit() {
         // Every monomorphized lane arm (2–8, 16), the dynamic arm (1, 9
         // and 12 lanes), every transform length from 2 to 512, both
-        // directions, with and without the swap pass and the fused 1/N.
+        // directions, with and without the fused 1/N.
         for lanes in [1usize, 2, 3, 4, 5, 6, 7, 8, 16, 9, 12] {
             for log2 in 1..=9 {
                 let n = 1usize << log2;
@@ -724,36 +638,16 @@ mod tests {
                 let batch = BatchFftPlan::new(n);
                 for inverse in [false, true] {
                     for scale in [None, Some(1.0 / n as f64)] {
-                        for prepermuted in [false, true] {
-                            let mut baseline = pack(&rows);
-                            simd::portable(batch.transform(
-                                &mut baseline,
-                                lanes,
-                                inverse,
-                                scale,
-                                prepermuted,
-                            ));
-                            let mut wide = pack(&rows);
-                            if simd::avx2(batch.transform(
-                                &mut wide,
-                                lanes,
-                                inverse,
-                                scale,
-                                prepermuted,
-                            ))
-                            .is_err()
-                            {
-                                return; // no AVX2 on this host: one build only
-                            }
-                            let bits =
-                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            let what = format!(
-                                "lanes {lanes} n {n} inverse {inverse} scale {scale:?} \
-                                 prepermuted {prepermuted}"
-                            );
-                            assert_eq!(bits(&wide.re), bits(&baseline.re), "re, {what}");
-                            assert_eq!(bits(&wide.im), bits(&baseline.im), "im, {what}");
+                        let mut baseline = pack(&rows);
+                        simd::portable(batch.transform(&mut baseline, lanes, inverse, scale));
+                        let mut wide = pack(&rows);
+                        if simd::avx2(batch.transform(&mut wide, lanes, inverse, scale)).is_err() {
+                            return; // no AVX2 on this host: one build only
                         }
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let what = format!("lanes {lanes} n {n} inverse {inverse} scale {scale:?}");
+                        assert_eq!(bits(&wide.re), bits(&baseline.re), "re, {what}");
+                        assert_eq!(bits(&wide.im), bits(&baseline.im), "im, {what}");
                     }
                 }
             }
@@ -776,54 +670,6 @@ mod tests {
             soa.read_lane_into(l, lanes, &mut lane_out);
             assert_eq!(lane_out, expect, "lane {l}");
         }
-    }
-
-    #[test]
-    fn scattered_prepermuted_matches_unpermuted_path() {
-        for lanes in [1usize, 3, 8] {
-            for log2 in 0..=6 {
-                let n = 1usize << log2;
-                // Short rows exercise the zero-padded scatter fill.
-                let fill = (n * 3).div_ceil(4).max(1);
-                let rows: Vec<Vec<Complex>> = (0..lanes).map(|l| signal(fill, l)).collect();
-                let batch = BatchFftPlan::new(n);
-                for inverse in [false, true] {
-                    let mut via_swap = SoaComplex::new();
-                    via_swap.reset(n * lanes);
-                    let mut scattered = SoaComplex::new();
-                    scattered.reset(n * lanes);
-                    for (l, row) in rows.iter().enumerate() {
-                        via_swap.write_lane(l, lanes, row);
-                        batch.scatter_lane(&mut scattered, l, lanes, row);
-                    }
-                    batch.process(&mut via_swap, lanes, inverse);
-                    batch.process_prepermuted(&mut scattered, lanes, inverse);
-                    assert_eq!(scattered.re, via_swap.re, "n={n} lanes={lanes} re");
-                    assert_eq!(scattered.im, via_swap.im, "n={n} lanes={lanes} im");
-                }
-                let mut via_swap = SoaComplex::new();
-                via_swap.reset(n * lanes);
-                let mut scattered = SoaComplex::new();
-                scattered.reset(n * lanes);
-                for (l, row) in rows.iter().enumerate() {
-                    via_swap.write_lane(l, lanes, row);
-                    batch.scatter_lane(&mut scattered, l, lanes, row);
-                }
-                batch.inverse(&mut via_swap, lanes);
-                batch.inverse_prepermuted(&mut scattered, lanes);
-                assert_eq!(scattered.re, via_swap.re, "inverse n={n} lanes={lanes} re");
-                assert_eq!(scattered.im, via_swap.im, "inverse n={n} lanes={lanes} im");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lane data must fit")]
-    fn scatter_lane_rejects_long_rows() {
-        let batch = BatchFftPlan::new(4);
-        let mut soa = SoaComplex::new();
-        soa.reset(4 * 2);
-        batch.scatter_lane(&mut soa, 0, 2, &[Complex::ONE; 5]);
     }
 
     #[test]

@@ -54,6 +54,7 @@ mod complex;
 pub mod fft;
 pub mod pdp;
 pub mod plan;
+mod pruned;
 mod simd;
 pub mod soa;
 pub mod stats;

@@ -8,6 +8,7 @@
 //! maximum tap power (§IV-A).
 
 use crate::batch::BatchFftPlan;
+use crate::pruned;
 use crate::simd::{self, Kernel};
 use crate::soa::SoaComplex;
 use crate::{fft, Complex};
@@ -175,44 +176,6 @@ impl DelayProfile {
             "padded plan must cover the CSI length"
         );
         plan.inverse(buf, lanes);
-        Self::fold_batch_peaks(plan, buf, lanes, csi_len, out);
-    }
-
-    /// [`DelayProfile::peak_powers_from_batch_with`] for a batch whose
-    /// rows were scattered straight into bit-reversed positions via
-    /// [`BatchFftPlan::scatter_lane`]: the inverse transform skips the
-    /// swap traversal ([`BatchFftPlan::inverse_prepermuted`]), everything
-    /// else — gain, norm, `total_cmp` maximum — is identical, so the peaks
-    /// stay bit-identical to the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`DelayProfile::peak_powers_from_batch_with`].
-    pub fn peak_powers_from_prepermuted_batch_with(
-        plan: &BatchFftPlan,
-        buf: &mut SoaComplex,
-        lanes: usize,
-        csi_len: usize,
-        out: &mut Vec<f64>,
-    ) {
-        assert!(csi_len > 0, "CSI must not be empty");
-        assert!(
-            plan.len() >= csi_len,
-            "padded plan must cover the CSI length"
-        );
-        plan.inverse_prepermuted(buf, lanes);
-        Self::fold_batch_peaks(plan, buf, lanes, csi_len, out);
-    }
-
-    /// Shared gain + per-lane running-maximum fold over a transformed
-    /// batch, run in the host's widest vector build (see [`PeakFold`]).
-    fn fold_batch_peaks(
-        plan: &BatchFftPlan,
-        buf: &SoaComplex,
-        lanes: usize,
-        csi_len: usize,
-        out: &mut Vec<f64>,
-    ) {
         simd::run(PeakFold {
             re: &buf.re,
             im: &buf.im,
@@ -220,6 +183,57 @@ impl DelayProfile {
             gain: plan.len() as f64 / csi_len as f64,
             out,
         });
+    }
+
+    /// Batched [`DelayProfile::peak_power_from_csi_with`] straight from
+    /// compact CSI rows: one peak tap power per lane of `rows`, which holds
+    /// `lanes` CSI rows of one length lane-major (tap `i` of lane `l` at
+    /// `i * lanes + l`, no padding), with
+    /// `plan.len() == fft::padded_len(csi_len, min_taps)`.
+    ///
+    /// The transform does only the work the zero padding leaves: it skips
+    /// the stages that only add padding zeros, reads its first live stage
+    /// from `rows`, runs in chunks of lanes sized to a 32 KiB working set
+    /// (`work`, reused), and folds the last two stages into the peaks
+    /// without storing them (see the `pruned` module). CSI rows of at most
+    /// four subcarriers, too short to prune, take the unpruned batched
+    /// transform ([`DelayProfile::peak_powers_from_batch_with`]).
+    ///
+    /// Bit-identical per lane to the scalar path, ±0, subnormals,
+    /// infinities and NaNs in the CSI included — except the payload where
+    /// two different NaNs meet in one operation, which Rust leaves to the
+    /// compiler in either path.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes` is zero, `rows` is empty or not a whole number
+    /// of lane rows, or `plan.len()` is shorter than the CSI rows.
+    pub fn peak_powers_from_csi_rows_with(
+        plan: &BatchFftPlan,
+        rows: &SoaComplex,
+        lanes: usize,
+        work: &mut SoaComplex,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(lanes > 0, "batch must have at least one lane");
+        assert!(
+            !rows.is_empty() && rows.len().is_multiple_of(lanes),
+            "CSI rows must be a non-empty whole number of lane rows"
+        );
+        let csi_len = rows.len() / lanes;
+        assert!(
+            plan.len() >= csi_len,
+            "padded plan must cover the CSI length"
+        );
+        out.clear();
+        if pruned::covers(csi_len) {
+            pruned::peaks(plan, rows, lanes, csi_len, work, out);
+        } else {
+            work.clone_from(rows);
+            work.re.resize(plan.len() * lanes, 0.0);
+            work.im.resize(plan.len() * lanes, 0.0);
+            Self::peak_powers_from_batch_with(plan, work, lanes, csi_len, out);
+        }
     }
 
     /// Number of delay taps.
@@ -361,7 +375,7 @@ fn order_key(x: f64) -> i64 {
 /// total order and its ties are equal bit patterns, so the maximum of a
 /// set is one bit pattern whatever the visit order or tie-break.
 #[inline(always)]
-fn max_total(best: f64, x: f64) -> f64 {
+pub(crate) fn max_total(best: f64, x: f64) -> f64 {
     if order_key(x) >= order_key(best) {
         x
     } else {

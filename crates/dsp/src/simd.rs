@@ -14,7 +14,8 @@
 //! operations in the same per-lane order at either width, and Rust never
 //! contracts a multiply and an add into an FMA (nor does the wrapper
 //! enable `fma`). The tests compare the two builds directly through
-//! [`portable`] and [`avx2`].
+//! [`portable`] and [`avx2`], or run a whole multi-kernel path in its
+//! baseline build with [`portable_scope`].
 
 /// A kernel compiled for the baseline target and for AVX2.
 pub(crate) trait Kernel {
@@ -30,6 +31,10 @@ pub(crate) trait Kernel {
 /// baseline build.
 #[inline]
 pub(crate) fn run<K: Kernel>(kernel: K) -> K::Output {
+    #[cfg(test)]
+    if PORTABLE.with(std::cell::Cell::get) {
+        return kernel.run();
+    }
     avx2(kernel).unwrap_or_else(K::run)
 }
 
@@ -37,6 +42,20 @@ pub(crate) fn run<K: Kernel>(kernel: K) -> K::Output {
 #[cfg(test)]
 pub(crate) fn portable<K: Kernel>(kernel: K) -> K::Output {
     kernel.run()
+}
+
+#[cfg(test)]
+thread_local! {
+    static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with every [`run`] on this thread taking the baseline build.
+#[cfg(test)]
+pub(crate) fn portable_scope<R>(f: impl FnOnce() -> R) -> R {
+    PORTABLE.with(|p| p.set(true));
+    let out = f();
+    PORTABLE.with(|p| p.set(false));
+    out
 }
 
 pub(crate) use x86::avx2;

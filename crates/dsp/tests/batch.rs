@@ -176,4 +176,35 @@ proptest! {
             prop_assert_eq!(peaks[l], scalar, "lane {} of {}", l, lanes);
         }
     }
+
+    #[test]
+    fn pruned_pdp_peaks_match_scalar_oracle(
+        csi_len in 1usize..60,
+        lanes in 1usize..40,
+        min_log2 in 0u32..10,
+        seed in 0u64..500,
+    ) {
+        // The serving path: compact, unpadded CSI rows through the pruned
+        // transform (first live stage filled from the rows, chunked to the
+        // working-set budget, last two stages folded into the peaks)
+        // against the scalar kernel. Bit-identity per lane.
+        let min_taps = 1usize << min_log2;
+        let rows = seeded_rows(csi_len, lanes, seed);
+        let plan = BatchFftPlan::new(fft::padded_len(csi_len, min_taps));
+        let mut peaks = Vec::new();
+        DelayProfile::peak_powers_from_csi_rows_with(
+            &plan,
+            &pack(&rows),
+            lanes,
+            &mut SoaComplex::new(),
+            &mut peaks,
+        );
+        prop_assert_eq!(peaks.len(), lanes);
+        let mut scratch = Vec::new();
+        for (l, row) in rows.iter().enumerate() {
+            let scalar =
+                DelayProfile::peak_power_from_csi_with(row, 20e6, min_taps, &mut scratch);
+            prop_assert_eq!(peaks[l].to_bits(), scalar.to_bits(), "lane {} of {}", l, lanes);
+        }
+    }
 }

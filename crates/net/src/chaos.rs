@@ -53,6 +53,7 @@ use crate::wire::{
 };
 use nomloc_core::server::CsiReport;
 use nomloc_core::tracking::Tracker;
+use nomloc_dsp::Complex;
 use nomloc_faults::{CsiCorruption, DropMode, FaultClass, FaultPlan, FAULT_CLASSES};
 use nomloc_geometry::{Point, Vec2};
 use std::collections::HashMap;
@@ -826,7 +827,7 @@ fn corrupt_csi(reports: &mut [WireReport], plan: &FaultPlan, id: u64) {
             }
             for s in &mut r.burst {
                 for c in &mut s.h {
-                    *c = (0.0, 0.0);
+                    *c = Complex::ZERO;
                 }
                 if let Some(o) = s.offsets_hz.first_mut() {
                     *o = f64::NAN;

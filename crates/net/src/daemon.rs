@@ -59,8 +59,8 @@
 use crate::registry::{RegistryReader, ResolveError, VenueEntry, VenueRegistry};
 use crate::sessions::{SessionConfig, SessionTable, SessionView, PREDICTED_ERROR_WIDENING};
 use crate::wire::{
-    self, ErrorCode, ErrorReply, Frame, LocateResponse, ServerHealth, VenueAdminResponse,
-    WireEstimate, WireSession,
+    self, ErrorCode, ErrorReply, Frame, LocateRequest, LocateResponse, ServerHealth,
+    VenueAdminResponse, WireEstimate, WireSession,
 };
 use nomloc_core::server::CsiReport;
 use nomloc_core::stats::{PipelineStats, StatsSnapshot};
@@ -554,7 +554,13 @@ fn handle_frame(
     shared.net.frames_in.fetch_add(1, Ordering::Relaxed);
     match frame {
         Frame::LocateRequest(req) => {
-            let request_id = req.request_id;
+            let LocateRequest {
+                request_id,
+                deadline_us,
+                venue_id,
+                session_id,
+                ..
+            } = req;
             let reports = match req.to_core_reports() {
                 Ok(reports) => reports,
                 Err(msg) => {
@@ -563,7 +569,7 @@ fn handle_frame(
                     // motion model at the `Predicted` tier — explicitly
                     // widened error bound — instead of a hard error.
                     if let Some(response) =
-                        predicted_fallback(shared, request_id, req.venue_id, req.session_id)
+                        predicted_fallback(shared, request_id, venue_id, session_id)
                     {
                         reply(shared, writer, response);
                         return Ok(());
@@ -577,23 +583,22 @@ fn handle_frame(
                     return Ok(());
                 }
             };
-            let deadline =
-                (req.deadline_us > 0).then(|| Duration::from_micros(req.deadline_us as u64));
+            let deadline = (deadline_us > 0).then(|| Duration::from_micros(deadline_us as u64));
             // Venue existence is checked at batch-resolution time, not
             // admission: the reader path stays registry-free (no reader
             // handle per connection), and an unknown venue answers
             // `UnknownVenue` from the batcher.
             let pending = Pending {
                 request_id,
-                venue: req.venue_id,
-                session: req.session_id,
+                venue: venue_id,
+                session: session_id,
                 reports,
                 admitted_at: Instant::now(),
                 deadline,
                 writer: Arc::clone(writer),
             };
             if let Some(scratch) = inline {
-                if solves_inline(shared, req.venue_id, scratch) {
+                if solves_inline(shared, venue_id, scratch) {
                     // Counted as an admission, so enqueued ÷ batches keeps
                     // meaning the mean batch size.
                     shared.net.requests_enqueued.fetch_add(1, Ordering::Relaxed);
@@ -718,8 +723,7 @@ fn solves_inline(shared: &Shared, venue: u64, scratch: &mut BatcherScratch) -> b
 fn solve_on_loop(shared: &Shared, scratch: &mut BatcherScratch) {
     let solved = std::panic::catch_unwind(AssertUnwindSafe(|| solve_and_reply(shared, scratch)));
     if solved.is_err() {
-        scratch.batch.clear();
-        scratch.live.clear();
+        scratch.release();
     }
     // The loop may serve only backlog for a long while before its next
     // solve; its snapshot must not keep venues evicted meanwhile alive.
@@ -763,6 +767,19 @@ struct BatcherScratch {
     reader: RegistryReader,
 }
 
+impl BatcherScratch {
+    /// Drops the batch's requests, keeping every buffer's capacity. Each
+    /// `Pending` holds its connection's sink, and so the client's socket
+    /// fd, and its CSI payload: kept until the next batch, a thread that
+    /// goes idle would hold them indefinitely.
+    fn release(&mut self) {
+        self.batch.clear();
+        self.live.clear();
+        self.inputs.clear();
+        self.responses.clear();
+    }
+}
+
 fn batcher_loop(shared: &Arc<Shared>) {
     let mut scratch = BatcherScratch::default();
     loop {
@@ -787,7 +804,13 @@ fn batcher_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Solves and answers `scratch.batch`, then releases it.
 fn solve_and_reply(shared: &Shared, scratch: &mut BatcherScratch) {
+    answer_batch(shared, scratch);
+    scratch.release();
+}
+
+fn answer_batch(shared: &Shared, scratch: &mut BatcherScratch) {
     let BatcherScratch {
         batch,
         live,
@@ -795,9 +818,7 @@ fn solve_and_reply(shared: &Shared, scratch: &mut BatcherScratch) {
         responses,
         reader,
     } = scratch;
-    live.clear();
-    inputs.clear();
-    responses.clear();
+    debug_assert!(live.is_empty() && inputs.is_empty() && responses.is_empty());
     // Expire requests that aged past their deadline while queued — they
     // get an error each; the rest of the batch is unaffected.
     for p in batch.drain(..) {

@@ -32,7 +32,7 @@
 //!   field-by-field parsing with allocation guards. Any corruption —
 //!   truncated frame, flipped bit, bad version, trailing bytes — yields a
 //!   [`WireError`], never a panic and never an absurd allocation;
-//! * **semantic** ([`WireReport::to_core`]): values that parsed but cannot
+//! * **semantic** ([`WireReport::into_core`]): values that parsed but cannot
 //!   enter the pipeline (non-finite AP position, a subcarrier grid that is
 //!   empty or not strictly ascending) are rejected per *request*, so one
 //!   malformed report in a batch never poisons its micro-batch.
@@ -254,8 +254,8 @@ impl fmt::Display for ErrorCode {
 pub struct WireSnapshot {
     /// Subcarrier frequency offsets, Hz.
     pub offsets_hz: Vec<f64>,
-    /// Channel coefficients as `(re, im)` pairs.
-    pub h: Vec<(f64, f64)>,
+    /// Channel coefficients, one per subcarrier.
+    pub h: Vec<Complex>,
 }
 
 /// One AP's CSI report on the wire.
@@ -286,7 +286,7 @@ impl WireReport {
                 .iter()
                 .map(|s| WireSnapshot {
                     offsets_hz: s.grid.offsets_hz().to_vec(),
-                    h: s.h.iter().map(|z| (z.re, z.im)).collect(),
+                    h: s.h.clone(),
                 })
                 .collect(),
         }
@@ -302,12 +302,15 @@ impl WireReport {
     /// or a channel vector that is empty or disagrees with the grid length
     /// (which would panic the PDP IFFT). Checked here so corrupt input can
     /// never panic the server.
-    pub fn to_core(&self) -> Result<CsiReport, String> {
+    ///
+    /// Each snapshot's channel vector and grid offsets move into the core
+    /// types as they are; nothing is copied.
+    pub fn into_core(self) -> Result<CsiReport, String> {
         if !(self.x.is_finite() && self.y.is_finite()) {
             return Err(format!("AP {} position is not finite", self.ap));
         }
         let mut burst = Vec::with_capacity(self.burst.len());
-        for (i, snap) in self.burst.iter().enumerate() {
+        for (i, snap) in self.burst.into_iter().enumerate() {
             if snap.offsets_hz.is_empty() {
                 return Err(format!(
                     "AP {} snapshot {i}: empty subcarrier grid",
@@ -338,12 +341,8 @@ impl WireReport {
                 ));
             }
             burst.push(CsiSnapshot {
-                h: snap
-                    .h
-                    .iter()
-                    .map(|&(re, im)| Complex::new(re, im))
-                    .collect(),
-                grid: SubcarrierGrid::new(snap.offsets_hz.clone()),
+                h: snap.h,
+                grid: SubcarrierGrid::new(snap.offsets_hz),
             });
         }
         Ok(CsiReport {
@@ -396,13 +395,17 @@ pub struct LocateRequest {
 }
 
 impl LocateRequest {
-    /// Validates and converts every report ([`WireReport::to_core`]).
+    /// Validates and converts every report ([`WireReport::into_core`]),
+    /// moving the CSI payloads into the core types.
     ///
     /// # Errors
     ///
     /// Returns the first per-report validation message.
-    pub fn to_core_reports(&self) -> Result<Vec<CsiReport>, String> {
-        self.reports.iter().map(WireReport::to_core).collect()
+    pub fn to_core_reports(self) -> Result<Vec<CsiReport>, String> {
+        self.reports
+            .into_iter()
+            .map(WireReport::into_core)
+            .collect()
     }
 }
 
@@ -868,13 +871,18 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
-    /// [`Cursor::f64_array_into`] for `(re, im)` pairs: `n` 16-byte records
-    /// decoded off one bounds-checked slice.
-    fn f64_pairs_into(&mut self, n: usize, out: &mut Vec<(f64, f64)>) -> Result<(), WireError> {
+    /// [`Cursor::f64_array_into`] for pairs of `f64`s: `n` 16-byte records
+    /// decoded off one bounds-checked slice, each built by `pair`.
+    fn f64_pairs_into<T>(
+        &mut self,
+        n: usize,
+        out: &mut Vec<T>,
+        pair: impl Fn(f64, f64) -> T,
+    ) -> Result<(), WireError> {
         let raw = self.bytes(n * 16)?;
         out.reserve(n);
         out.extend(raw.chunks_exact(16).map(|b| {
-            (
+            pair(
                 f64::from_le_bytes(b[..8].try_into().unwrap()),
                 f64::from_le_bytes(b[8..].try_into().unwrap()),
             )
@@ -894,7 +902,7 @@ impl<'a> Cursor<'a> {
     fn points(&mut self) -> Result<Vec<(f64, f64)>, WireError> {
         let n = self.len(16)?;
         let mut out = Vec::new();
-        self.f64_pairs_into(n, &mut out)?;
+        self.f64_pairs_into(n, &mut out, |x, y| (x, y))?;
         Ok(out)
     }
 
@@ -940,9 +948,9 @@ fn encode_locate_request(req: &LocateRequest, out: &mut Vec<u8>) {
                 put_f64(out, f);
             }
             put_u32(out, s.h.len() as u32);
-            for &(re, im) in &s.h {
-                put_f64(out, re);
-                put_f64(out, im);
+            for z in &s.h {
+                put_f64(out, z.re);
+                put_f64(out, z.im);
             }
         }
     }
@@ -968,7 +976,7 @@ fn decode_locate_request(c: &mut Cursor<'_>) -> Result<LocateRequest, WireError>
             c.f64_array_into(n_sub, &mut offsets_hz)?;
             let n_h = c.len(16)?;
             let mut h = Vec::new();
-            c.f64_pairs_into(n_h, &mut h)?;
+            c.f64_pairs_into(n_h, &mut h, Complex::new)?;
             burst.push(WireSnapshot { offsets_hz, h });
         }
         reports.push(WireReport {
@@ -1507,7 +1515,11 @@ mod tests {
                 y: -1.5,
                 burst: vec![WireSnapshot {
                     offsets_hz: vec![-312_500.0, 0.0, 312_500.0],
-                    h: vec![(1.0, 0.5), (0.0, -0.25), (2.0, 2.0)],
+                    h: vec![
+                        Complex::new(1.0, 0.5),
+                        Complex::new(0.0, -0.25),
+                        Complex::new(2.0, 2.0),
+                    ],
                 }],
             }],
         })
@@ -1961,36 +1973,36 @@ mod tests {
             y: 2.0,
             burst: vec![WireSnapshot {
                 offsets_hz: vec![0.0, 1.0],
-                h: vec![(1.0, 0.0), (0.5, 0.5)],
+                h: vec![Complex::new(1.0, 0.0), Complex::new(0.5, 0.5)],
             }],
         };
-        assert!(good.to_core().is_ok());
+        assert!(good.clone().into_core().is_ok());
 
         let mut nan_pos = good.clone();
         nan_pos.x = f64::NAN;
-        assert!(nan_pos.to_core().is_err());
+        assert!(nan_pos.into_core().is_err());
 
         let mut empty_grid = good.clone();
         empty_grid.burst[0].offsets_hz.clear();
-        assert!(empty_grid.to_core().is_err());
+        assert!(empty_grid.into_core().is_err());
 
         let mut descending = good.clone();
         descending.burst[0].offsets_hz = vec![1.0, 0.0];
-        assert!(descending.to_core().is_err());
+        assert!(descending.into_core().is_err());
 
         let mut inf_grid = good.clone();
         inf_grid.burst[0].offsets_hz = vec![0.0, f64::INFINITY];
-        assert!(inf_grid.to_core().is_err());
+        assert!(inf_grid.into_core().is_err());
 
         // v2 hardening: the channel vector itself is validated — an empty
         // or length-mismatched `h` used to sail through to a dsp assert.
         let mut empty_h = good.clone();
         empty_h.burst[0].h.clear();
-        assert!(empty_h.to_core().is_err());
+        assert!(empty_h.into_core().is_err());
 
         let mut short_h = good.clone();
         short_h.burst[0].h.truncate(1);
-        assert!(short_h.to_core().is_err());
+        assert!(short_h.into_core().is_err());
     }
 
     #[test]
@@ -2044,12 +2056,12 @@ mod tests {
     fn bulk_decode_preserves_f64_bits_exactly() {
         // The bulk array decode must stay a bit-level transport: NaN
         // payloads, signed zeros, and subnormals survive the round trip
-        // unchanged (finiteness policy lives in to_core, not the decoder).
+        // unchanged (finiteness policy lives in into_core, not the decoder).
         let snap = WireSnapshot {
             offsets_hz: vec![-0.0, f64::MIN_POSITIVE / 2.0, f64::NAN, f64::INFINITY],
             h: vec![
-                (f64::from_bits(0x7FF0_0000_0000_0001), -0.0),
-                (f64::NEG_INFINITY, f64::from_bits(1)),
+                Complex::new(f64::from_bits(0x7FF0_0000_0000_0001), -0.0),
+                Complex::new(f64::NEG_INFINITY, f64::from_bits(1)),
             ],
         };
         let req = Frame::LocateRequest(LocateRequest {
@@ -2074,18 +2086,18 @@ mod tests {
         for (a, b) in round.offsets_hz.iter().zip(&snap.offsets_hz) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        for ((ar, ai), (br, bi)) in round.h.iter().zip(&snap.h) {
-            assert_eq!(ar.to_bits(), br.to_bits());
-            assert_eq!(ai.to_bits(), bi.to_bits());
+        for (a, b) in round.h.iter().zip(&snap.h) {
+            assert_eq!(a.re.to_bits(), b.re.to_bits());
+            assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
     }
 
     #[test]
     fn non_finite_classification_unchanged_by_bulk_path() {
         // Regression for the vectorized finiteness pass: a non-finite
-        // subcarrier offset is still rejected by to_core with the same
+        // subcarrier offset is still rejected by into_core with the same
         // message (→ Malformed at the daemon), for every non-finite kind
-        // and position; non-finite *channel* values still pass to_core
+        // and position; non-finite *channel* values still pass into_core
         // (they are dropped later by PdpReading::try_new, not Malformed).
         let good = WireReport {
             ap: 9,
@@ -2094,20 +2106,20 @@ mod tests {
             y: 2.0,
             burst: vec![WireSnapshot {
                 offsets_hz: vec![0.0, 1.0, 2.0, 3.0],
-                h: vec![(1.0, 0.0); 4],
+                h: vec![Complex::ONE; 4],
             }],
         };
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
             for pos in 0..4 {
                 let mut r = good.clone();
                 r.burst[0].offsets_hz[pos] = bad;
-                let err = r.to_core().unwrap_err();
+                let err = r.into_core().unwrap_err();
                 assert_eq!(err, "AP 9 snapshot 0: non-finite subcarrier offset");
             }
         }
         let mut nan_h = good.clone();
-        nan_h.burst[0].h[2] = (f64::NAN, f64::INFINITY);
-        assert!(nan_h.to_core().is_ok());
+        nan_h.burst[0].h[2] = Complex::new(f64::NAN, f64::INFINITY);
+        assert!(nan_h.into_core().is_ok());
     }
 
     #[test]
@@ -2119,7 +2131,7 @@ mod tests {
                 grid: SubcarrierGrid::new(vec![-1.0, 312_500.0]),
             }],
         };
-        let round = WireReport::from_core(&report).to_core().unwrap();
+        let round = WireReport::from_core(&report).into_core().unwrap();
         assert_eq!(round, report);
         assert_eq!(
             round.site.position.x.to_bits(),

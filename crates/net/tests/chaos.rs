@@ -11,6 +11,7 @@ use nomloc_core::localizability;
 use nomloc_core::scenario::Venue;
 use nomloc_core::server::CsiReport;
 use nomloc_core::{ApSite, LocalizationServer};
+use nomloc_dsp::Complex;
 use nomloc_faults::{FaultClass, FaultPlan};
 use nomloc_geometry::Point;
 use nomloc_net::chaos::{self, ChaosConfig};
@@ -309,7 +310,7 @@ fn raw_report(seed: u64, subcarriers: usize) -> WireReport {
         burst: vec![WireSnapshot {
             offsets_hz: (0..subcarriers).map(|i| bits(mix(10 + i as u64))).collect(),
             h: (0..subcarriers)
-                .map(|i| (bits(mix(100 + i as u64)), bits(mix(200 + i as u64))))
+                .map(|i| Complex::new(bits(mix(100 + i as u64)), bits(mix(200 + i as u64))))
                 .collect(),
         }],
     }
@@ -330,7 +331,7 @@ fn shaped_hostile_report(seed: u64, subcarriers: usize) -> WireReport {
         burst: vec![WireSnapshot {
             offsets_hz: (0..subcarriers).map(|i| i as f64 * 312_500.0).collect(),
             h: (0..subcarriers)
-                .map(|i| (bits(mix(100 + i as u64)), bits(mix(200 + i as u64))))
+                .map(|i| Complex::new(bits(mix(100 + i as u64)), bits(mix(200 + i as u64))))
                 .collect(),
         }],
     }

@@ -216,7 +216,7 @@ fn malformed_request_does_not_poison_the_batch() {
             y: 0.0,
             burst: vec![WireSnapshot {
                 offsets_hz: vec![0.0],
-                h: vec![(1.0, 0.0)],
+                h: vec![nomloc_dsp::Complex::ONE],
             }],
         }],
     }));
@@ -336,7 +336,7 @@ fn lone_requests_are_solved_on_the_loop_bit_for_bit() {
                 .collect(),
         };
         let expected = oracle
-            .process(&request.to_core_reports().expect("valid reports"))
+            .process(&request.clone().to_core_reports().expect("valid reports"))
             .expect("the lab request localizes in process");
         stream
             .write_all(&frame_to_vec(&Frame::LocateRequest(request)))

@@ -10,6 +10,7 @@
 //! boundaries, so any slicing-dependence here would be a heisenbug in
 //! production.
 
+use nomloc_dsp::Complex;
 use nomloc_net::wire::{
     decode_frame, frame_to_vec, ErrorReply, LocateRequest, LocateResponse, ServerHealth,
     StreamDecoder, WireEstimate, WireReport, WireSession, WireSnapshot,
@@ -25,7 +26,7 @@ fn frame_zoo(seed: u64) -> Vec<Frame> {
     let snapshot = |i: u64, n: usize| WireSnapshot {
         offsets_hz: (0..n).map(|k| k as f64 * 312_500.0).collect(),
         h: (0..n)
-            .map(|k| (f(i + k as u64), f(i + 50 + k as u64)))
+            .map(|k| Complex::new(f(i + k as u64), f(i + 50 + k as u64)))
             .collect(),
     };
     vec![

@@ -5,6 +5,7 @@
 //! (truncation, bit flips, garbage) decodes to a clean [`WireError`]
 //! without panicking.
 
+use nomloc_dsp::Complex;
 use nomloc_net::wire::{
     decode_frame, frame_to_vec, ErrorCode, ErrorReply, LocateRequest, LocateResponse, ServerHealth,
     VenueHealth, WireError, WireEstimate, WireReport, WireSession, WireSnapshot,
@@ -39,7 +40,7 @@ fn snapshot(seed: u64, subcarriers: usize) -> WireSnapshot {
     WireSnapshot {
         offsets_hz: (0..subcarriers).map(|i| bits(mix(i as u64))).collect(),
         h: (0..subcarriers)
-            .map(|i| (bits(mix(1000 + i as u64)), bits(mix(2000 + i as u64))))
+            .map(|i| Complex::new(bits(mix(1000 + i as u64)), bits(mix(2000 + i as u64))))
             .collect(),
     }
 }
