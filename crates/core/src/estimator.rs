@@ -19,6 +19,17 @@ use nomloc_lp::simplex::SimplexWorkspace;
 use nomloc_lp::LpError;
 use std::fmt;
 
+/// Relative tolerance within which two pieces' relaxation costs tie: the
+/// pieces whose cost is at most `min + PIECE_TIE_TOLERANCE · (1 + min)`
+/// are the winners whose centers are merged.
+const PIECE_TIE_TOLERANCE: f64 = 1e-6;
+
+/// Whether a piece of relaxation cost `cost` ties the minimal cost
+/// `min_cost` (see [`PIECE_TIE_TOLERANCE`]).
+fn ties_min_cost(cost: f64, min_cost: f64) -> bool {
+    cost <= min_cost + PIECE_TIE_TOLERANCE * (1.0 + min_cost)
+}
+
 /// Errors from location estimation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EstimateError {
@@ -348,7 +359,7 @@ impl SpEstimator {
             .fold(f64::INFINITY, f64::min);
         let winners: Vec<&PieceSolution> = solutions
             .iter()
-            .filter(|s| s.cost <= min_cost + 1e-6 * (1.0 + min_cost))
+            .filter(|s| ties_min_cost(s.cost, min_cost))
             .collect();
         let total_area: f64 = winners.iter().map(|s| s.region_area).sum();
         let position = if total_area > 1e-12 {
@@ -429,6 +440,16 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn piece_costs_within_the_tie_tolerance_merge() {
+        for min in [0.0, 0.25, 3.0, 1e4] {
+            let tol = PIECE_TIE_TOLERANCE * (1.0 + min);
+            assert!(ties_min_cost(min, min), "min {min}");
+            assert!(ties_min_cost(min + 0.99 * tol, min), "min {min}");
+            assert!(!ties_min_cost(min + 1.01 * tol, min), "min {min}");
+        }
     }
 
     #[test]

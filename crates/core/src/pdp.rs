@@ -7,7 +7,7 @@
 //! packet.
 
 use nomloc_dsp::pdp::DelayProfile;
-use nomloc_dsp::plan::with_thread_batch_plan;
+use nomloc_dsp::plan::with_thread_plan;
 use nomloc_dsp::{fft, stats, Complex, SoaComplex, Window};
 use nomloc_rfsim::CsiSnapshot;
 
@@ -252,7 +252,7 @@ impl PdpEstimator {
             };
             scratch.rows.write_lane(lane, total, row);
         }
-        with_thread_batch_plan(fft::padded_len(n, self.min_taps), |plan| {
+        with_thread_plan(fft::padded_len(n, self.min_taps), |plan| {
             DelayProfile::peak_powers_from_csi_rows_with(
                 plan,
                 &scratch.rows,
@@ -513,11 +513,13 @@ mod tests {
     }
 
     #[test]
-    fn lab_dense_shape_matches_per_snapshot_oracle() {
-        // The `lab-dense` request: 4 APs × 16 packets of 30 subcarriers,
-        // 64 lanes through the batched kernel in 8-lane chunks. Each
-        // burst's median must equal the per-snapshot scalar kernel's,
-        // bit for bit.
+    fn serving_shapes_match_per_snapshot_oracle() {
+        // Every workload's request shape, 30 subcarriers per snapshot:
+        // `lab-dense` 4 APs × 16 packets (64 lanes, eight 8-lane chunks),
+        // `track-sessions` 4 × 2 (one 8-lane chunk), fleet Lab/Lobby 4 × 1
+        // (one 4-lane chunk) and fleet Mall 6 × 1 (one 8-lane chunk with
+        // 2 zero lanes). Each burst's median must equal the per-snapshot
+        // scalar kernel's, bit for bit.
         let env = open_env();
         let grid = SubcarrierGrid::intel5300();
         let mut rng = StdRng::seed_from_u64(24);
@@ -527,25 +529,33 @@ mod tests {
             Point::new(19.0, 1.0),
             Point::new(19.0, 11.0),
             Point::new(1.0, 11.0),
+            Point::new(10.0, 1.0),
+            Point::new(10.0, 11.0),
         ];
-        let bursts_owned: Vec<Vec<CsiSnapshot>> = aps
-            .iter()
-            .map(|&ap| env.sample_csi_burst(object, ap, &grid, 16, &mut rng))
-            .collect();
-        let bursts: Vec<&[CsiSnapshot]> = bursts_owned.iter().map(|b| b.as_slice()).collect();
-        for window in [Window::Rectangular, Window::Hann] {
-            let est = PdpEstimator::new().with_window(window);
-            let mut batched = Vec::new();
-            est.pdp_of_bursts_with(&bursts, &mut PdpScratch::new(), &mut batched);
-            let mut scratch = PdpScratch::new();
-            for (burst, got) in bursts_owned.iter().zip(&batched) {
-                let mut peaks: Vec<f64> = burst
-                    .iter()
-                    .map(|s| est.pdp_of_snapshot_with(s, &mut scratch))
-                    .collect();
-                let want = stats::median_in_place(&mut peaks).expect("non-empty burst");
-                let got = got.expect("non-empty burst");
-                assert_eq!(got.to_bits(), want.to_bits(), "{window:?}");
+        for (n_aps, n_packets) in [(4, 16), (4, 2), (4, 1), (6, 1)] {
+            let bursts_owned: Vec<Vec<CsiSnapshot>> = aps[..n_aps]
+                .iter()
+                .map(|&ap| env.sample_csi_burst(object, ap, &grid, n_packets, &mut rng))
+                .collect();
+            let bursts: Vec<&[CsiSnapshot]> = bursts_owned.iter().map(|b| b.as_slice()).collect();
+            for window in [Window::Rectangular, Window::Hann] {
+                let est = PdpEstimator::new().with_window(window);
+                let mut batched = Vec::new();
+                est.pdp_of_bursts_with(&bursts, &mut PdpScratch::new(), &mut batched);
+                let mut scratch = PdpScratch::new();
+                for (burst, got) in bursts_owned.iter().zip(&batched) {
+                    let mut peaks: Vec<f64> = burst
+                        .iter()
+                        .map(|s| est.pdp_of_snapshot_with(s, &mut scratch))
+                        .collect();
+                    let want = stats::median_in_place(&mut peaks).expect("non-empty burst");
+                    let got = got.expect("non-empty burst");
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{n_aps} APs × {n_packets}, {window:?}"
+                    );
+                }
             }
         }
     }

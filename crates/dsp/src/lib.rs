@@ -13,11 +13,12 @@
 //! * [`plan`] — precomputed FFT plans (bit-reversal indices + per-stage
 //!   twiddle tables) and the per-thread [`plan::PlanCache`] the radix-2
 //!   kernel runs through.
-//! * [`soa`] / [`batch`] — split (structure-of-arrays) complex buffers and
-//!   the batched FFT kernel that marches a burst of same-length packets
-//!   through the planned butterflies in lockstep, bit-identical per lane to
-//!   the per-packet plan.
-//! * [`pdp`] — power delay profiles and their summary taps.
+//! * [`soa`] — split (structure-of-arrays) complex buffers, the lane-major
+//!   layout of a burst of same-length packets.
+//! * [`pdp`] — power delay profiles and their summary taps, including the
+//!   batched peak tap powers of a lane-major burst: a zero-padded IFFT
+//!   that skips the stages padding leaves idle and runs every lane in
+//!   lockstep, bit-identical per lane to the per-packet plan.
 //! * [`stats`] — mean/variance/percentiles and empirical CDFs (the paper's
 //!   accuracy metric) plus the spatial-localizability-variance helper.
 //! * [`Window`] — spectral tapers (Hann/Hamming/Blackman) for sidelobe
@@ -49,7 +50,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 mod complex;
 pub mod fft;
 pub mod pdp;
@@ -60,7 +60,6 @@ pub mod soa;
 pub mod stats;
 mod window;
 
-pub use batch::BatchFftPlan;
 pub use complex::Complex;
 pub use plan::{FftPlan, PlanCache};
 pub use soa::SoaComplex;

@@ -7,9 +7,8 @@
 //! an IFFT of the frequency-domain CSI and summarizes each link by its
 //! maximum tap power (§IV-A).
 
-use crate::batch::BatchFftPlan;
+use crate::plan::FftPlan;
 use crate::pruned;
-use crate::simd::{self, Kernel};
 use crate::soa::SoaComplex;
 use crate::{fft, Complex};
 
@@ -141,50 +140,6 @@ impl DelayProfile {
         best
     }
 
-    /// Batched [`DelayProfile::peak_power_from_csi_with`]: one peak tap
-    /// power per lane of a lane-major batch of same-length CSI rows.
-    ///
-    /// The caller packs `lanes` CSI rows of original length `csi_len` into
-    /// `buf` via [`SoaComplex::reset`] (to `plan.len() * lanes` zeros — the
-    /// zero rows beyond `csi_len` are exactly the padding
-    /// [`fft::ifft_padded_into`] would append) and [`SoaComplex::write_lane`],
-    /// with `plan.len() == fft::padded_len(csi_len, min_taps)`. This runs a
-    /// single batched inverse transform and folds each lane's tap powers
-    /// into its running maximum, writing one peak per lane into `out`.
-    ///
-    /// Bit-identical per lane to the scalar path: the batched kernel
-    /// performs the scalar kernel's float ops in the same per-lane order,
-    /// and the fold takes the same `total_cmp` maximum of the same
-    /// `(h · gain)` norms (branch-free, and built for AVX2 where the host
-    /// has it; a `total_cmp` maximum is one bit pattern however it is
-    /// reached).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `csi_len` is zero, `plan.len() < csi_len`, `lanes` is
-    /// zero, or `buf.len() != plan.len() * lanes`.
-    pub fn peak_powers_from_batch_with(
-        plan: &BatchFftPlan,
-        buf: &mut SoaComplex,
-        lanes: usize,
-        csi_len: usize,
-        out: &mut Vec<f64>,
-    ) {
-        assert!(csi_len > 0, "CSI must not be empty");
-        assert!(
-            plan.len() >= csi_len,
-            "padded plan must cover the CSI length"
-        );
-        plan.inverse(buf, lanes);
-        simd::run(PeakFold {
-            re: &buf.re,
-            im: &buf.im,
-            lanes,
-            gain: plan.len() as f64 / csi_len as f64,
-            out,
-        });
-    }
-
     /// Batched [`DelayProfile::peak_power_from_csi_with`] straight from
     /// compact CSI rows: one peak tap power per lane of `rows`, which holds
     /// `lanes` CSI rows of one length lane-major (tap `i` of lane `l` at
@@ -193,11 +148,12 @@ impl DelayProfile {
     ///
     /// The transform does only the work the zero padding leaves: it skips
     /// the stages that only add padding zeros, reads its first live stage
-    /// from `rows`, runs in chunks of lanes sized to a 32 KiB working set
-    /// (`work`, reused), and folds the last two stages into the peaks
-    /// without storing them (see the `pruned` module). CSI rows of at most
-    /// four subcarriers, too short to prune, take the unpruned batched
-    /// transform ([`DelayProfile::peak_powers_from_batch_with`]).
+    /// from `rows`, runs in chunks of 8 lanes (4 from 512 taps up) sized
+    /// to a 32 KiB working set (`work`, reused), padding a short tail
+    /// chunk with zero lanes, and folds the last two stages into the
+    /// peaks without storing them (see the `pruned` module). CSI rows of
+    /// at most four subcarriers, too short to prune, take
+    /// [`DelayProfile::peak_power_from_csi_with`] lane by lane.
     ///
     /// Bit-identical per lane to the scalar path, ±0, subnormals,
     /// infinities and NaNs in the CSI included — except the payload where
@@ -209,7 +165,7 @@ impl DelayProfile {
     /// Panics when `lanes` is zero, `rows` is empty or not a whole number
     /// of lane rows, or `plan.len()` is shorter than the CSI rows.
     pub fn peak_powers_from_csi_rows_with(
-        plan: &BatchFftPlan,
+        plan: &FftPlan,
         rows: &SoaComplex,
         lanes: usize,
         work: &mut SoaComplex,
@@ -226,14 +182,7 @@ impl DelayProfile {
             "padded plan must cover the CSI length"
         );
         out.clear();
-        if pruned::covers(csi_len) {
-            pruned::peaks(plan, rows, lanes, csi_len, work, out);
-        } else {
-            work.clone_from(rows);
-            work.re.resize(plan.len() * lanes, 0.0);
-            work.im.resize(plan.len() * lanes, 0.0);
-            Self::peak_powers_from_batch_with(plan, work, lanes, csi_len, out);
-        }
+        pruned::peaks(plan, rows, lanes, csi_len, work, out);
     }
 
     /// Number of delay taps.
@@ -360,76 +309,6 @@ impl DelayProfile {
     }
 }
 
-/// `f64::total_cmp`'s sort key: the bits as an `i64`, with the magnitude
-/// bits flipped for negative values, so that integer order is
-/// `total_cmp` order.
-#[inline(always)]
-fn order_key(x: f64) -> i64 {
-    let bits = x.to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
-}
-
-/// The `total_cmp` maximum of `best` and `x`, `x` winning ties: the
-/// branchy fold `if x.total_cmp(&best) != Less { best = x }` as a
-/// compare and a select, which vectorize across lanes. `total_cmp` is a
-/// total order and its ties are equal bit patterns, so the maximum of a
-/// set is one bit pattern whatever the visit order or tie-break.
-#[inline(always)]
-pub(crate) fn max_total(best: f64, x: f64) -> f64 {
-    if order_key(x) >= order_key(best) {
-        x
-    } else {
-        best
-    }
-}
-
-/// The per-lane peak fold over a transformed batch: tap `i` of lane `l`
-/// is `(re, im)[i * lanes + l]`, its power is `(h · gain)`'s norm, and
-/// `out[l]` becomes the `total_cmp` maximum of lane `l`'s powers. Taps are
-/// walked row-major, so per lane the visit order matches the scalar fold
-/// of [`DelayProfile::peak_power_from_csi_with`], and each power is the
-/// same expression, so the peaks are bit-identical to it. A [`Kernel`],
-/// built for both the baseline target and AVX2.
-struct PeakFold<'a> {
-    re: &'a [f64],
-    im: &'a [f64],
-    lanes: usize,
-    gain: f64,
-    out: &'a mut Vec<f64>,
-}
-
-impl Kernel for PeakFold<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run(self) {
-        let PeakFold {
-            re,
-            im,
-            lanes,
-            gain,
-            out,
-        } = self;
-        let power = |re: f64, im: f64| {
-            let sr = re * gain;
-            let si = im * gain;
-            sr * sr + si * si
-        };
-        let mut rows = re.chunks_exact(lanes).zip(im.chunks_exact(lanes));
-        out.clear();
-        // Tap 0 initializes each lane's running maximum…
-        if let Some((re0, im0)) = rows.next() {
-            out.extend(re0.iter().zip(im0).map(|(&re, &im)| power(re, im)));
-        }
-        // …and taps 1.. fold in.
-        for (row_re, row_im) in rows {
-            for ((best, &re), &im) in out.iter_mut().zip(row_re).zip(row_im) {
-                *best = max_total(*best, power(re, im));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,200 +347,6 @@ mod tests {
             let fused = DelayProfile::peak_power_from_csi_with(&csi, bw, min_taps, &mut scratch);
             // Value-identical: same powers, same tie-break order.
             assert_eq!(fused, profile.peak().power, "n={n} min_taps={min_taps}");
-        }
-    }
-
-    #[test]
-    fn batched_peaks_match_scalar_bit_for_bit() {
-        let bw = 20e6;
-        for (n, min_taps) in [(30usize, 256usize), (30, 64), (16, 16), (56, 128), (1, 1)] {
-            let lanes = 5;
-            let rows: Vec<Vec<Complex>> = (0..lanes)
-                .map(|l| {
-                    two_path_csi(
-                        n,
-                        bw,
-                        (50 + 40 * l) as f64 * 1e-9,
-                        1.0 - 0.1 * l as f64,
-                        350e-9,
-                        0.5,
-                    )
-                })
-                .collect();
-            let padded = crate::fft::padded_len(n, min_taps);
-            let plan = BatchFftPlan::new(padded);
-            let mut buf = SoaComplex::new();
-            buf.reset(padded * lanes);
-            for (l, row) in rows.iter().enumerate() {
-                buf.write_lane(l, lanes, row);
-            }
-            let mut peaks = Vec::new();
-            DelayProfile::peak_powers_from_batch_with(&plan, &mut buf, lanes, n, &mut peaks);
-            let mut scratch = Vec::new();
-            for (l, row) in rows.iter().enumerate() {
-                let scalar =
-                    DelayProfile::peak_power_from_csi_with(row, bw, min_taps, &mut scratch);
-                assert_eq!(peaks[l], scalar, "n={n} min_taps={min_taps} lane={l}");
-            }
-        }
-    }
-
-    /// Bit patterns across `total_cmp`'s whole order: NaNs of both signs
-    /// with quiet and signaling payloads, infinities, ±0, subnormals and
-    /// normals.
-    fn special_values() -> Vec<f64> {
-        [
-            0xFFF8_0000_0000_0003u64, // −qNaN, payload 3
-            0xFFF0_0000_0000_0004,    // −sNaN, payload 4
-            0xFFF0_0000_0000_0000,    // −∞
-            0xC000_0000_0000_0000,    // −2
-            0x8000_0000_0000_0001,    // −smallest subnormal
-            0x8000_0000_0000_0000,    // −0
-            0x0000_0000_0000_0000,    // +0
-            0x0000_0000_0000_0001,    // smallest subnormal
-            0x000F_FFFF_FFFF_FFFF,    // largest subnormal
-            0x3FF0_0000_0000_0000,    // 1
-            0x7FEF_FFFF_FFFF_FFFF,    // largest finite
-            0x7FF0_0000_0000_0000,    // +∞
-            0x7FF0_0000_0000_0002,    // +sNaN, payload 2
-            0x7FF8_0000_0000_0001,    // +qNaN, payload 1
-        ]
-        .into_iter()
-        .map(f64::from_bits)
-        .collect()
-    }
-
-    /// The branchy fold the batched kernel replaced: later ties win.
-    fn scalar_total_cmp_fold(values: &[f64]) -> f64 {
-        let mut best = values[0];
-        for &x in &values[1..] {
-            if x.total_cmp(&best) != std::cmp::Ordering::Less {
-                best = x;
-            }
-        }
-        best
-    }
-
-    #[test]
-    fn branch_free_max_matches_total_cmp_fold_on_special_values() {
-        let values = special_values();
-        // Every ordered pair…
-        for &a in &values {
-            for &b in &values {
-                let expect = scalar_total_cmp_fold(&[a, b]);
-                assert_eq!(
-                    max_total(a, b).to_bits(),
-                    expect.to_bits(),
-                    "{:#x} then {:#x}",
-                    a.to_bits(),
-                    b.to_bits()
-                );
-            }
-        }
-        // …and seeded sequences with repeats, in scrambled orders.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        for len in 1..=40 {
-            let seq: Vec<f64> = (0..len)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    values[(state % values.len() as u64) as usize]
-                })
-                .collect();
-            let folded = seq[1..].iter().fold(seq[0], |best, &x| max_total(best, x));
-            assert_eq!(
-                folded.to_bits(),
-                scalar_total_cmp_fold(&seq).to_bits(),
-                "sequence {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn peak_fold_builds_match_scalar_fold_on_special_values() {
-        // Tap components drawn from ±0, subnormals, values whose squares
-        // underflow to subnormals or overflow to +∞, ±∞ and NaNs with
-        // payloads. At most one component of a tap is a NaN, so each
-        // power's NaN payload is fixed by the arithmetic, not by the
-        // order of a multiply's operands.
-        let pool: Vec<f64> = [
-            0.0,
-            -0.0,
-            f64::from_bits(1),
-            -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
-            1e-160,
-            -3e-155,
-            0.75,
-            -2.5,
-            1e200,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ]
-        .to_vec();
-        let nans = [
-            f64::from_bits(0x7FF8_0000_0000_0001),
-            f64::from_bits(0xFFF8_0000_0000_0003),
-            f64::from_bits(0x7FF0_0000_0000_0002),
-        ];
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut draw = |k: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % k as u64) as usize
-        };
-        for lanes in 1..=17 {
-            for taps in [1usize, 2, 3, 8, 33] {
-                for gain in [1.0, 3.5] {
-                    let mut re = Vec::with_capacity(taps * lanes);
-                    let mut im = Vec::with_capacity(taps * lanes);
-                    for _ in 0..taps * lanes {
-                        let (mut r, mut i) = (pool[draw(pool.len())], pool[draw(pool.len())]);
-                        match draw(8) {
-                            0 => r = nans[draw(nans.len())],
-                            1 => i = nans[draw(nans.len())],
-                            _ => {}
-                        }
-                        re.push(r);
-                        im.push(i);
-                    }
-                    let expect: Vec<u64> = (0..lanes)
-                        .map(|l| {
-                            let powers: Vec<f64> = (0..taps)
-                                .map(|t| {
-                                    let sr = re[t * lanes + l] * gain;
-                                    let si = im[t * lanes + l] * gain;
-                                    sr * sr + si * si
-                                })
-                                .collect();
-                            scalar_total_cmp_fold(&powers).to_bits()
-                        })
-                        .collect();
-                    let what = format!("lanes {lanes} taps {taps} gain {gain}");
-                    let mut out = Vec::new();
-                    simd::portable(PeakFold {
-                        re: &re,
-                        im: &im,
-                        lanes,
-                        gain,
-                        out: &mut out,
-                    });
-                    let bits: Vec<u64> = out.iter().map(|p| p.to_bits()).collect();
-                    assert_eq!(bits, expect, "baseline build, {what}");
-                    let wide = PeakFold {
-                        re: &re,
-                        im: &im,
-                        lanes,
-                        gain,
-                        out: &mut out,
-                    };
-                    if simd::avx2(wide).is_ok() {
-                        let bits: Vec<u64> = out.iter().map(|p| p.to_bits()).collect();
-                        assert_eq!(bits, expect, "AVX2 build, {what}");
-                    }
-                }
-            }
         }
     }
 

@@ -15,7 +15,6 @@
 //! allocation in steady state: the first transform of a given size on a
 //! thread builds the plan, every later one just runs butterflies.
 
-use crate::batch::BatchFftPlan;
 use crate::Complex;
 use std::cell::RefCell;
 use std::f64::consts::PI;
@@ -158,20 +157,11 @@ impl FftPlan {
         }
     }
 
-    /// The bit-reversal swap pairs, for kernels that replay this plan's
-    /// traversal over a different data layout (the batched SoA kernel).
-    pub(crate) fn swaps(&self) -> &[(u32, u32)] {
-        &self.swaps
-    }
-
-    /// The concatenated per-stage twiddle table for one direction, in the
-    /// layout documented on the struct fields.
-    pub(crate) fn twiddles(&self, inverse: bool) -> &[Complex] {
-        if inverse {
-            &self.inverse
-        } else {
-            &self.forward
-        }
+    /// The concatenated per-stage inverse twiddle table, in the layout
+    /// documented on the struct fields: what the batched PDP transform
+    /// (`crate::pruned`) reads.
+    pub(crate) fn inverse_twiddles(&self) -> &[Complex] {
+        &self.inverse
     }
 }
 
@@ -185,7 +175,6 @@ impl FftPlan {
 #[derive(Debug, Default)]
 pub struct PlanCache {
     plans: Vec<Option<Rc<FftPlan>>>,
-    batch_plans: Vec<Option<Rc<BatchFftPlan>>>,
 }
 
 impl PlanCache {
@@ -218,28 +207,6 @@ impl PlanCache {
         Rc::clone(self.plans[idx].get_or_insert_with(|| Rc::new(FftPlan::new(n))))
     }
 
-    /// Returns the batched plan for length `n`, building and caching it on
-    /// first use. Shares the twiddle/swap tables with the per-packet plan of
-    /// the same size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two.
-    pub fn batch_plan(&mut self, n: usize) -> Rc<BatchFftPlan> {
-        assert!(n.is_power_of_two(), "FFT plan size must be a power of two");
-        let idx = n.trailing_zeros() as usize;
-        if let Some(Some(plan)) = self.batch_plans.get(idx) {
-            return Rc::clone(plan);
-        }
-        let inner = self.plan(n);
-        if self.batch_plans.len() <= idx {
-            self.batch_plans.resize(idx + 1, None);
-        }
-        Rc::clone(
-            self.batch_plans[idx].get_or_insert_with(|| Rc::new(BatchFftPlan::from_plan(inner))),
-        )
-    }
-
     /// Number of distinct transform sizes currently cached.
     pub fn cached_sizes(&self) -> usize {
         self.plans.iter().filter(|p| p.is_some()).count()
@@ -263,17 +230,6 @@ thread_local! {
 /// Panics if `n` is not a power of two.
 pub fn with_thread_plan<R>(n: usize, f: impl FnOnce(&FftPlan) -> R) -> R {
     let plan = THREAD_PLANS.with(|cache| cache.borrow_mut().plan(n));
-    f(&plan)
-}
-
-/// Runs `f` with this thread's cached batched plan for length `n`, building
-/// it on first use. Same caching discipline as [`with_thread_plan`].
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two.
-pub fn with_thread_batch_plan<R>(n: usize, f: impl FnOnce(&BatchFftPlan) -> R) -> R {
-    let plan = THREAD_PLANS.with(|cache| cache.borrow_mut().batch_plan(n));
     f(&plan)
 }
 
@@ -361,32 +317,6 @@ mod tests {
         assert_eq!(cache.cached_sizes(), 1);
         let _ = cache.plan(128);
         assert_eq!(cache.cached_sizes(), 2);
-    }
-
-    #[test]
-    fn cache_reuses_batch_plans_and_shares_tables() {
-        let mut cache = PlanCache::new();
-        let a = cache.batch_plan(64);
-        let b = cache.batch_plan(64);
-        assert!(Rc::ptr_eq(&a, &b));
-        // The batched plan wraps the cached per-packet plan of the same
-        // size, so both directions share one twiddle/swap table set.
-        let scalar = cache.plan(64);
-        assert!(std::ptr::eq(a.plan(), scalar.as_ref()));
-    }
-
-    #[test]
-    fn thread_batch_plan_runs_transform() {
-        use crate::soa::SoaComplex;
-        let x = signal(16);
-        let mut soa = SoaComplex::new();
-        soa.reset(16);
-        soa.write_lane(0, 1, &x);
-        with_thread_batch_plan(16, |p| p.forward(&mut soa, 1));
-        let expect = dft_naive(&x, false);
-        for (a, b) in soa.to_interleaved().iter().zip(&expect) {
-            assert!((*a - *b).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Run-time selection of the host's vector units for the batched kernels.
 //!
 //! The workspace builds for baseline x86-64, whose vector registers are
-//! SSE2's 128 bits: two `f64` lanes. The batched IFFT and the peak fold
-//! work on rows of 8 or 16 independent lanes, so on an AVX2 host the same
-//! loops run twice as wide in 256-bit registers. Rather than ship a build
+//! SSE2's 128 bits: two `f64` lanes. The batched PDP transform's kernels
+//! (`pruned::{Fill, Passes, FoldPass}`) work on rows of 4 or 8
+//! independent lanes, so on an AVX2 host the same loops run twice as wide
+//! in 256-bit registers. Rather than ship a build
 //! that needs `-C target-cpu=...`, each such kernel implements [`Kernel`]
 //! with an `#[inline(always)]` body, and [`run`] calls that body through
 //! one `#[target_feature(enable = "avx2")]` wrapper when the host has
@@ -13,9 +14,8 @@
 //! Both builds are bit-identical. Every lane loop performs the same IEEE
 //! operations in the same per-lane order at either width, and Rust never
 //! contracts a multiply and an add into an FMA (nor does the wrapper
-//! enable `fma`). The tests compare the two builds directly through
-//! [`portable`] and [`avx2`], or run a whole multi-kernel path in its
-//! baseline build with [`portable_scope`].
+//! enable `fma`). The tests run a whole multi-kernel path in its baseline
+//! build with [`portable_scope`] and compare it with the host's build.
 
 /// A kernel compiled for the baseline target and for AVX2.
 pub(crate) trait Kernel {
@@ -38,12 +38,6 @@ pub(crate) fn run<K: Kernel>(kernel: K) -> K::Output {
     avx2(kernel).unwrap_or_else(K::run)
 }
 
-/// Runs `kernel` in its baseline build, whatever the host.
-#[cfg(test)]
-pub(crate) fn portable<K: Kernel>(kernel: K) -> K::Output {
-    kernel.run()
-}
-
 #[cfg(test)]
 thread_local! {
     static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -58,7 +52,7 @@ pub(crate) fn portable_scope<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
-pub(crate) use x86::avx2;
+use x86::avx2;
 
 /// The `unsafe` island of the crate: one target-feature call, made only
 /// after the run-time check.

@@ -5,8 +5,9 @@
 //! register and every arithmetic instruction wastes half its lanes on the
 //! component it does not need. A [`SoaComplex`] stores all real parts in
 //! one contiguous `Vec<f64>` and all imaginary parts in another, which is
-//! the layout the batched FFT kernel ([`crate::batch::BatchFftPlan`])
-//! needs: a batch of `lanes` same-length signals is packed *lane-major* —
+//! the layout the batched PDP transform
+//! ([`crate::pdp::DelayProfile::peak_powers_from_csi_rows_with`]) reads:
+//! a batch of `lanes` same-length signals is packed *lane-major* —
 //! sample `i` of lane `l` lives at flat index `i * lanes + l` — so the
 //! values a butterfly touches in lockstep across the batch are contiguous
 //! and the inner per-lane loops autovectorize.

@@ -1,13 +1,13 @@
 //! Property-based tests for the batched SoA DSP layer.
 //!
-//! The batched kernel's contract is *bit*-identity, not approximate
-//! equality: per lane it must perform exactly the per-packet planned
+//! The batched PDP transform's contract is *bit*-identity, not
+//! approximate equality: per lane it must perform exactly the per-packet
 //! kernel's float operations in the same order, so every assertion here is
 //! `prop_assert_eq!` on the raw values — one flipped rounding anywhere in
 //! a butterfly fails the suite.
 
 use nomloc_dsp::pdp::DelayProfile;
-use nomloc_dsp::{fft, BatchFftPlan, Complex, FftPlan, SoaComplex};
+use nomloc_dsp::{fft, Complex, FftPlan, SoaComplex};
 use proptest::prelude::*;
 
 fn complex_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Complex>> {
@@ -45,56 +45,6 @@ fn pack(rows: &[Vec<Complex>]) -> SoaComplex {
 }
 
 proptest! {
-    #[test]
-    fn batch_fft_bit_identical_to_per_packet_plan(
-        log2 in 1u32..9,
-        lanes in 1usize..17,
-        seed in 0u64..1000,
-        dir in 0u32..2,
-    ) {
-        // Tentpole contract: any batch of 1..=16 packets through the
-        // lockstep kernel equals running the per-packet planned FFT on
-        // each row — bit for bit, both directions.
-        let n = 1usize << log2;
-        let inverse = dir == 1;
-        let rows = seeded_rows(n, lanes, seed);
-        let plan = FftPlan::new(n);
-        let batched = BatchFftPlan::new(n);
-        let mut soa = pack(&rows);
-        batched.process(&mut soa, lanes, inverse);
-        let mut lane = Vec::new();
-        for (l, row) in rows.iter().enumerate() {
-            let mut expect = row.clone();
-            plan.process(&mut expect, inverse);
-            soa.read_lane_into(l, lanes, &mut lane);
-            prop_assert_eq!(&lane, &expect, "lane {} of {} (n={})", l, lanes, n);
-        }
-    }
-
-    #[test]
-    fn batch_inverse_normalization_bit_identical(
-        log2 in 1u32..8,
-        lanes in 1usize..17,
-        seed in 0u64..1000,
-    ) {
-        // The 1/N pass is applied per component after the raw transform —
-        // the same separate multiply as FftPlan::inverse, never fused with
-        // downstream gains.
-        let n = 1usize << log2;
-        let rows = seeded_rows(n, lanes, seed);
-        let plan = FftPlan::new(n);
-        let batched = BatchFftPlan::new(n);
-        let mut soa = pack(&rows);
-        batched.inverse(&mut soa, lanes);
-        let mut lane = Vec::new();
-        for (l, row) in rows.iter().enumerate() {
-            let mut expect = row.clone();
-            plan.inverse(&mut expect);
-            soa.read_lane_into(l, lanes, &mut lane);
-            prop_assert_eq!(&lane, &expect, "lane {} of {} (n={})", l, lanes, n);
-        }
-    }
-
     #[test]
     fn soa_interleaved_round_trip(x in complex_vec(0..120)) {
         let soa = SoaComplex::from_interleaved(&x);
@@ -148,36 +98,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_pdp_peaks_match_scalar_oracle(
-        csi_len in 1usize..60,
-        lanes in 1usize..17,
-        min_log2 in 0u32..9,
-        seed in 0u64..500,
-    ) {
-        // The full batched PDP reduction (pad → lockstep IFFT → gain →
-        // max-tap fold) against the retained scalar kernel, which itself is
-        // oracle-locked to DelayProfile::from_csi. Bit-identity per lane.
-        let min_taps = 1usize << min_log2;
-        let rows = seeded_rows(csi_len, lanes, seed);
-        let padded = fft::padded_len(csi_len, min_taps);
-        let plan = BatchFftPlan::new(padded);
-        let mut soa = SoaComplex::new();
-        soa.reset(padded * lanes);
-        for (l, row) in rows.iter().enumerate() {
-            soa.write_lane(l, lanes, row);
-        }
-        let mut peaks = Vec::new();
-        DelayProfile::peak_powers_from_batch_with(&plan, &mut soa, lanes, csi_len, &mut peaks);
-        prop_assert_eq!(peaks.len(), lanes);
-        let mut scratch = Vec::new();
-        for (l, row) in rows.iter().enumerate() {
-            let scalar =
-                DelayProfile::peak_power_from_csi_with(row, 20e6, min_taps, &mut scratch);
-            prop_assert_eq!(peaks[l], scalar, "lane {} of {}", l, lanes);
-        }
-    }
-
-    #[test]
     fn pruned_pdp_peaks_match_scalar_oracle(
         csi_len in 1usize..60,
         lanes in 1usize..40,
@@ -186,11 +106,12 @@ proptest! {
     ) {
         // The serving path: compact, unpadded CSI rows through the pruned
         // transform (first live stage filled from the rows, chunked to the
-        // working-set budget, last two stages folded into the peaks)
-        // against the scalar kernel. Bit-identity per lane.
+        // working-set budget with a zero-padded tail, last two stages
+        // folded into the peaks) against the scalar kernel. Bit-identity
+        // per lane.
         let min_taps = 1usize << min_log2;
         let rows = seeded_rows(csi_len, lanes, seed);
-        let plan = BatchFftPlan::new(fft::padded_len(csi_len, min_taps));
+        let plan = FftPlan::new(fft::padded_len(csi_len, min_taps));
         let mut peaks = Vec::new();
         DelayProfile::peak_powers_from_csi_rows_with(
             &plan,

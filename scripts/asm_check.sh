@@ -7,14 +7,13 @@
 # `#[target_feature]` and chosen by a run-time CPU check:
 #
 # * nomloc-dsp's AVX2 wrapper (`simd::x86::with_avx2`, one instance per
-#   kernel: the batched IFFT, the peak fold, and the zero-padded PDP
-#   transform's fill, passes and folding final pass) must hold packed
-#   256-bit `vmulpd`/`vaddpd` on `ymm` registers. Their absence means the
-#   kernel bodies were not inlined into the wrapper and run at baseline
-#   width. The PDP hot path's fill-and-first-stage kernel (`pruned::Fill`)
-#   and folding final pass (`pruned::FoldPass`) must each have such an
-#   instance; the asm is emitted with v0 symbol mangling, whose names
-#   carry the kernel type.
+#   kernel of the zero-padded PDP transform: its fill, middle passes and
+#   folding final pass) must hold packed 256-bit `vmulpd`/`vaddpd` on
+#   `ymm` registers. Their absence means the kernel bodies were not
+#   inlined into the wrapper and run at baseline width. Each of the three
+#   kernels (`pruned::Fill`, `pruned::Passes`, `pruned::FoldPass`) must
+#   have such an instance; the asm is emitted with v0 symbol mangling,
+#   whose names carry the kernel type.
 # * nomloc-net's CRC kernel (`crc32::clmul::x86::fold`) must hold
 #   `pclmulqdq`.
 #
@@ -74,7 +73,7 @@ while read -r name mul add; do
   fi
 done <<< "$per_instance"
 # v0 names carry each path segment as <length><name>: `6pruned4Fill`.
-for kernel in Fill FoldPass; do
+for kernel in Fill Passes FoldPass; do
   if ! grep -q "with_avx2.*6pruned${#kernel}${kernel}E" <<< "$per_instance"; then
     echo "error: no AVX2 build of pruned::$kernel" >&2
     status=1

@@ -32,10 +32,13 @@ cargo test -q --workspace --offline
 
 echo "==> vector-kernel bit-identity tests, optimized build"
 # Unoptimized test builds do not vectorize, so there the AVX2 and baseline
-# builds of the batched IFFT and peak fold run the same scalar code. The
+# builds of the PDP transform's kernels run the same scalar code. The
 # release build is the one whose packed loops must match bit for bit.
 cargo test -q --release --offline -p nomloc-dsp
 cargo test -q --release --offline -p nomloc-net --lib crc32
+
+echo "==> vector-kernel codegen: AVX2 and PCLMULQDQ builds in the release binary"
+bash scripts/asm_check.sh
 
 echo "==> loopback serving smoke test (daemon + loadgen over 127.0.0.1)"
 cargo test -q --offline --test net_loopback
